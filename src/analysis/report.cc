@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
-#include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -141,15 +141,15 @@ const char* EngineKindName(EngineKind kind) {
   return "unknown";
 }
 
-EngineKind ChooseEngine(const AnalysisReport& report, RoutingGoal goal,
-                        const RoutingOptions& options) {
+EngineKind ChooseEngine(const AnalysisReport& report, RoutingGoal goal) {
+  // Cyclic queries up to this verified treewidth are evaluated by the
+  // decomposition DP rather than the general homomorphism search.
+  constexpr int kDecompWidthThreshold = 3;
   if (goal == RoutingGoal::kContainment) {
     return report.acyclic ? EngineKind::kAckEngine : EngineKind::kTypeEngine;
   }
   if (report.acyclic) return EngineKind::kYannakakis;
-  if (report.treewidth <= options.decomp_width_threshold) {
-    return EngineKind::kDecompDp;
-  }
+  if (report.treewidth <= kDecompWidthThreshold) return EngineKind::kDecompDp;
   return EngineKind::kGenericHomSearch;
 }
 
@@ -191,26 +191,20 @@ AnalysisReport BuildReport(const DatalogProgram* program,
     out.program = AnalyzeProgramStructure(*program);
   }
 
-  out.eval_engine = ChooseEngine(out, RoutingGoal::kEvaluate, options);
-  out.containment_engine =
-      ChooseEngine(out, RoutingGoal::kContainment, options);
+  out.eval_engine = ChooseEngine(out, RoutingGoal::kEvaluate);
+  out.containment_engine = ChooseEngine(out, RoutingGoal::kContainment);
   span.AddArg("disjuncts", static_cast<std::uint64_t>(out.num_disjuncts));
   span.AddArg("acyclic", out.acyclic ? 1 : 0);
   span.AddArg("treewidth", static_cast<std::uint64_t>(out.treewidth));
   return out;
 }
 
-struct AnalysisCache {
-  std::mutex mu;
-  std::unordered_map<std::pair<std::uint64_t, std::uint64_t>, AnalysisReport,
-                     PairHash<std::uint64_t, std::uint64_t>>
-      entries;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-};
+using ReportCache =
+    LruCache<std::pair<std::uint64_t, std::uint64_t>, AnalysisReport,
+             PairHash<std::uint64_t, std::uint64_t>>;
 
-AnalysisCache& Cache() {
-  static AnalysisCache* cache = new AnalysisCache();
+ReportCache& Cache() {
+  static ReportCache* cache = new ReportCache(kGlobalAnalysisCacheCapacity);
   return *cache;
 }
 
@@ -221,22 +215,12 @@ AnalysisReport CachedReport(const DatalogProgram* program,
   const std::pair<std::uint64_t, std::uint64_t> key = {
       program != nullptr ? CanonicalProgramHash(*program) : 0,
       CanonicalQueryHash(ucq)};
-  AnalysisCache& cache = Cache();
-  {
-    std::lock_guard<std::mutex> lock(cache.mu);
-    auto it = cache.entries.find(key);
-    if (it != cache.entries.end()) {
-      ++cache.hits;
-      ObsCount(options.obs, "analysis.cache_hits", 1);
-      return it->second;
-    }
+  if (std::optional<AnalysisReport> hit = Cache().Lookup(key)) {
+    ObsCount(options.obs, "analysis.cache_hits", 1);
+    return *std::move(hit);
   }
   AnalysisReport report = BuildReport(program, ucq, options);
-  {
-    std::lock_guard<std::mutex> lock(cache.mu);
-    ++cache.misses;
-    cache.entries.emplace(key, report);
-  }
+  Cache().Insert(key, report);
   ObsCount(options.obs, "analysis.cache_misses", 1);
   return report;
 }
@@ -254,19 +238,9 @@ AnalysisReport AnalyzeForRouting(const DatalogProgram& program,
   return CachedReport(&program, ucq, options);
 }
 
-AnalysisCacheStats GlobalAnalysisCacheStats() {
-  AnalysisCache& cache = Cache();
-  std::lock_guard<std::mutex> lock(cache.mu);
-  return {cache.hits, cache.misses, cache.entries.size()};
-}
+AnalysisCacheStats GlobalAnalysisCacheStats() { return Cache().stats(); }
 
-void ClearGlobalAnalysisCache() {
-  AnalysisCache& cache = Cache();
-  std::lock_guard<std::mutex> lock(cache.mu);
-  cache.entries.clear();
-  cache.hits = 0;
-  cache.misses = 0;
-}
+void ClearGlobalAnalysisCache() { Cache().Clear(); }
 
 namespace {
 

@@ -1,10 +1,12 @@
 #ifndef QCONT_ANALYSIS_REPORT_H_
 #define QCONT_ANALYSIS_REPORT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "analysis/program_analysis.h"
+#include "base/lru_cache.h"
 #include "cq/database.h"
 #include "cq/query.h"
 #include "datalog/program.h"
@@ -81,11 +83,8 @@ struct AnalysisReport {
   std::string ToJson() const;
 };
 
-/// Routing knobs, consulted by ChooseEngine and the Routed* entry points.
+/// Routing knobs, consulted by the Routed* entry points.
 struct RoutingOptions {
-  /// Use the decomposition DP for satisfiability when the (verified)
-  /// treewidth is at most this and the query is cyclic.
-  int decomp_width_threshold = 3;
   /// Consult/populate the global analysis cache.
   bool use_cache = true;
   /// Observability sink (optional, borrowed): `analysis/report` spans,
@@ -93,27 +92,28 @@ struct RoutingOptions {
   const ObsContext* obs = nullptr;
 };
 
-/// Pure routing policy over a report: acyclic → Yannakakis/ACk, small
-/// verified width → decomposition DP (evaluation only), otherwise the
+/// Pure routing policy over a report: acyclic → Yannakakis/ACk, verified
+/// treewidth ≤ 3 → decomposition DP (evaluation only), otherwise the
 /// general engine. Never inspects anything but the report.
-EngineKind ChooseEngine(const AnalysisReport& report, RoutingGoal goal,
-                        const RoutingOptions& options = {});
+EngineKind ChooseEngine(const AnalysisReport& report, RoutingGoal goal);
 
 /// Builds (or fetches from the process-wide cache) the report for a UCQ,
 /// optionally paired with a program. Thread-safe; cache entries are keyed
-/// by (program_hash, query_hash).
+/// by (program_hash, query_hash), and the cache is an LRU bounded by
+/// kGlobalAnalysisCacheCapacity.
 AnalysisReport AnalyzeForRouting(const UnionQuery& ucq,
                                  const RoutingOptions& options = {});
 AnalysisReport AnalyzeForRouting(const DatalogProgram& program,
                                  const UnionQuery& ucq,
                                  const RoutingOptions& options = {});
 
-/// Cache introspection (tests, metrics).
-struct AnalysisCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::size_t entries = 0;
-};
+/// Entries the process-wide analysis cache holds before it evicts (the
+/// same bound as the plan cache's default analysis capacity).
+inline constexpr std::size_t kGlobalAnalysisCacheCapacity = 4096;
+
+/// Cache introspection (tests, metrics). Clearing drops the entries; the
+/// counters keep accumulating.
+using AnalysisCacheStats = LruCacheStats;
 AnalysisCacheStats GlobalAnalysisCacheStats();
 void ClearGlobalAnalysisCache();
 

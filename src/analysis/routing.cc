@@ -25,7 +25,7 @@ EngineKind ResolveEvalEngine(const ConjunctiveQuery& cq,
   }
   AnalysisReport report =
       AnalyzeForRouting(UnionQuery({cq}), options.routing);
-  return ChooseEngine(report, RoutingGoal::kEvaluate, options.routing);
+  return ChooseEngine(report, RoutingGoal::kEvaluate);
 }
 
 void CountRoute(const RoutingOptions& routing, EngineKind engine) {

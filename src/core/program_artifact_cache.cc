@@ -1,6 +1,7 @@
 #include "core/program_artifact_cache.h"
 
 #include <algorithm>
+#include <chrono>
 #include <future>
 #include <utility>
 
@@ -97,85 +98,46 @@ int ProgramArtifact::EdbPredId(const std::string& pred) const {
 }
 
 ProgramArtifactCache::ProgramArtifactCache(ProgramArtifactCacheConfig config)
-    : config_(config) {}
+    : config_(config), lru_(config.capacity) {}
 
 std::shared_ptr<const ProgramArtifact> ProgramArtifactCache::GetOrBuild(
     const DatalogProgram& program, bool* stable) {
-  const std::uint64_t key = analysis::CanonicalProgramHash(program);
   std::promise<std::shared_ptr<const ProgramArtifact>> promise;
-  std::uint64_t build_id = 0;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      ++stats_.hits;
-      ObsCount(config_.obs, "typeengine.artifact.hits", 1);
-      if (stable != nullptr) *stable = it->second->epoch < epoch_;
-      order_.splice(order_.begin(), order_, it->second);
-      std::shared_future<std::shared_ptr<const ProgramArtifact>> future =
-          it->second->artifact;
-      lock.unlock();
-      // get() outside the lock: the value may still be under construction
-      // by the thread that inserted the entry.
-      return future.get();
-    }
-    ++stats_.misses;
-    ObsCount(config_.obs, "typeengine.artifact.misses", 1);
-    if (stable != nullptr) *stable = false;
-    if (config_.capacity > 0) {
-      ++stats_.insertions;
-      Entry entry;
-      entry.key = key;
-      entry.id = build_id = ++next_id_;
-      entry.epoch = epoch_;
-      entry.artifact = promise.get_future().share();
-      order_.push_front(std::move(entry));
-      index_[key] = order_.begin();
-      if (order_.size() > config_.capacity) {
-        const Entry& victim = order_.back();
-        ++stats_.evictions;
-        stats_.bytes -= victim.bytes;
-        index_.erase(victim.key);
-        // Waiters on an evicted in-flight build keep their shared_future;
-        // the build completes for them, it just stops being resident.
-        order_.pop_back();
-      }
-      stats_.entries = order_.size();
-    }
-  }
+  auto [future, found] =
+      lru_.FindOrInsert(analysis::CanonicalProgramHash(program),
+                        promise.get_future().share(), stable);
+  ObsCount(config_.obs,
+           found ? "typeengine.artifact.hits" : "typeengine.artifact.misses",
+           1);
+  // A found entry may still be under construction by the thread that
+  // inserted it; get() blocks until that build completes.
+  if (found) return future.get();
+  // Waiters on this entry keep their shared_future even if it is evicted
+  // or cleared before the build completes.
   std::shared_ptr<const ProgramArtifact> artifact =
       ProgramArtifact::Build(program, config_.obs);
   promise.set_value(artifact);
   if (config_.capacity > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(key);
-    // Account the bytes only if our entry is still resident (it may have
-    // been evicted, or evicted and re-inserted by a later miss).
-    if (it != index_.end() && it->second->id == build_id) {
-      it->second->bytes = artifact->ApproxBytes();
-      stats_.bytes += it->second->bytes;
-      ObsGauge(config_.obs, "typeengine.artifact.bytes", stats_.bytes);
-    }
+    ObsGauge(config_.obs, "typeengine.artifact.bytes", stats().bytes);
   }
   return artifact;
 }
 
-void ProgramArtifactCache::BeginEpoch() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++epoch_;
-}
+void ProgramArtifactCache::BeginEpoch() { lru_.BeginEpoch(); }
 
 ProgramArtifactCacheStats ProgramArtifactCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  std::size_t bytes = 0;
+  LruCacheStats counts = lru_.stats([&](const ArtifactFuture& artifact) {
+    if (artifact.wait_for(std::chrono::seconds(0)) ==
+        std::future_status::ready) {
+      bytes += artifact.get()->ApproxBytes();
+    }
+  });
+  return {counts, bytes};
 }
 
 void ProgramArtifactCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  order_.clear();
-  index_.clear();
-  stats_.entries = 0;
-  stats_.bytes = 0;
+  lru_.Clear();
   ObsGauge(config_.obs, "typeengine.artifact.bytes", 0);
 }
 

@@ -3,13 +3,12 @@
 
 #include <cstdint>
 #include <future>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "base/lru_cache.h"
 #include "core/instantiate.h"
 #include "datalog/program.h"
 #include "obs/obs.h"
@@ -91,14 +90,9 @@ class ProgramArtifact {
 };
 
 /// Monotonic counters plus the current population of a ProgramArtifactCache.
-/// `bytes` sums ApproxBytes over the *completed* resident artifacts (an
-/// in-flight build contributes once it finishes).
-struct ProgramArtifactCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t insertions = 0;
-  std::uint64_t evictions = 0;
-  std::size_t entries = 0;
+/// `bytes` sums ApproxBytes over the *completed* resident artifacts at
+/// snapshot time (an in-flight build contributes once it finishes).
+struct ProgramArtifactCacheStats : LruCacheStats {
   std::size_t bytes = 0;
 };
 
@@ -108,7 +102,8 @@ struct ProgramArtifactCacheConfig {
   std::size_t capacity = 64;
   /// Optional, borrowed. Publishes `typeengine.artifact.{hits,misses}`
   /// counters per lookup and the `typeengine.artifact.bytes` gauge after
-  /// every build/eviction; builds emit `typeengine/artifact_build` spans.
+  /// every cached build and on Clear; builds emit
+  /// `typeengine/artifact_build` spans.
   const ObsContext* obs = nullptr;
 };
 
@@ -117,19 +112,18 @@ struct ProgramArtifactCacheConfig {
 /// Π share a single expansion (hash collisions are accepted, the same
 /// stance as the server plan cache).
 ///
-/// Concurrency: the map itself is mutex-guarded, but entries hold
-/// `shared_future`s — the first requester of a key inserts the future and
-/// builds *outside* the lock; concurrent requesters of the same key find
-/// the in-flight entry, count a hit, and block on the future instead of
-/// duplicating the build. Hit/miss totals are therefore a function of the
-/// request multiset alone, independent of scheduling, which keeps server
-/// metrics reproducible across thread counts.
+/// Concurrency: an LruCache (base/lru_cache.h) of `shared_future`s. The
+/// first requester of a key inserts its future through the cache's atomic
+/// FindOrInsert and builds *outside* the lock; concurrent requesters of the
+/// same key find the in-flight entry, count a hit, and block on the future
+/// instead of duplicating the build. Hit/miss totals are therefore a
+/// function of the request multiset alone, independent of scheduling, which
+/// keeps server metrics reproducible across thread counts.
 ///
-/// Epochs mirror PlanCache: each entry records the epoch of its first
-/// insertion, `BeginEpoch` advances the counter (the server calls it at
-/// batch start), and a lookup's `stable` out-param reports whether the
-/// entry predates the current epoch — i.e. whether it would be present no
-/// matter how the current batch is scheduled.
+/// Epochs are LruCache's, as in PlanCache: the server calls `BeginEpoch` at
+/// batch start, and a lookup's `stable` out-param reports whether the entry
+/// predates the current epoch — i.e. whether it would be present no matter
+/// how the current batch is scheduled.
 class ProgramArtifactCache {
  public:
   explicit ProgramArtifactCache(ProgramArtifactCacheConfig config = {});
@@ -152,21 +146,11 @@ class ProgramArtifactCache {
   void Clear();
 
  private:
-  struct Entry {
-    std::uint64_t key = 0;
-    std::uint64_t id = 0;  // build-instance id, for post-build accounting
-    std::uint64_t epoch = 0;
-    std::size_t bytes = 0;  // 0 until the build completes
-    std::shared_future<std::shared_ptr<const ProgramArtifact>> artifact;
-  };
+  using ArtifactFuture =
+      std::shared_future<std::shared_ptr<const ProgramArtifact>>;
 
   ProgramArtifactCacheConfig config_;
-  mutable std::mutex mu_;
-  std::uint64_t epoch_ = 0;
-  std::uint64_t next_id_ = 0;
-  std::list<Entry> order_;  // front = most recent
-  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
-  ProgramArtifactCacheStats stats_;
+  LruCache<std::uint64_t, ArtifactFuture> lru_;
 };
 
 }  // namespace qcont

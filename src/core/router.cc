@@ -36,8 +36,8 @@ Result<RoutedAnswer> DecideContainment(const DatalogProgram& program,
         options.report != nullptr
             ? *options.report
             : analysis::AnalyzeForRouting(program, ucq, routing);
-    const analysis::EngineKind engine = analysis::ChooseEngine(
-        report, analysis::RoutingGoal::kContainment, routing);
+    const analysis::EngineKind engine =
+        analysis::ChooseEngine(report, analysis::RoutingGoal::kContainment);
     route = engine == analysis::EngineKind::kAckEngine
                 ? ContainmentRoute::kAckEngine
                 : ContainmentRoute::kGeneralEngine;

@@ -3,159 +3,89 @@
 namespace qcont {
 namespace server {
 
-template <typename V>
-std::optional<V> PlanCache::Shard<V>::Lookup(const PlanKey& key,
-                                             std::uint64_t current_epoch,
-                                             bool* stable) {
-  if (stable != nullptr) *stable = false;
-  std::lock_guard<std::mutex> lock(mu);
-  auto it = index.find(key);
-  if (it == index.end()) {
-    ++misses;
-    return std::nullopt;
-  }
-  ++hits;
-  if (stable != nullptr) *stable = it->second->epoch < current_epoch;
-  order.splice(order.begin(), order, it->second);  // refresh recency
-  return it->second->value;
-}
-
-template <typename V>
-std::uint64_t PlanCache::Shard<V>::Insert(const PlanKey& key, V value,
-                                          std::uint64_t epoch) {
-  if (capacity == 0) return 0;
-  std::lock_guard<std::mutex> lock(mu);
-  auto it = index.find(key);
-  if (it != index.end()) {
-    // Keep the original epoch: the entry already existed, so its
-    // stability classification must not regress on a re-insert.
-    it->second->value = std::move(value);
-    order.splice(order.begin(), order, it->second);
-    return 0;
-  }
-  order.emplace_front(Entry{key, std::move(value), epoch});
-  index.emplace(key, order.begin());
-  ++insertions;
-  std::uint64_t evicted = 0;
-  while (index.size() > capacity) {
-    index.erase(order.back().key);
-    order.pop_back();
-    ++evictions;
-    ++evicted;
-  }
-  return evicted;
-}
-
-template <typename V>
-void PlanCache::Shard<V>::Collect(PlanCacheStats* out) const {
-  std::lock_guard<std::mutex> lock(mu);
-  out->hits += hits;
-  out->misses += misses;
-  out->insertions += insertions;
-  out->evictions += evictions;
-  out->entries += index.size();
-}
-
-template <typename V>
-void PlanCache::Shard<V>::Clear() {
-  std::lock_guard<std::mutex> lock(mu);
-  index.clear();
-  order.clear();
-}
-
 PlanCache::PlanCache(PlanCacheConfig config)
-    : config_(config),
+    : obs_(config.obs),
+      verdicts_(config.verdict_capacity),
+      reports_(config.analysis_capacity),
+      cores_(config.core_capacity),
+      evals_(config.eval_capacity),
       artifacts_(ProgramArtifactCacheConfig{config.artifact_capacity,
-                                            config.obs}) {
-  verdicts_.capacity = config.verdict_capacity;
-  reports_.capacity = config.analysis_capacity;
-  cores_.capacity = config.core_capacity;
-  evals_.capacity = config.eval_capacity;
-}
+                                            config.obs}) {}
 
 void PlanCache::Publish(const char* kind, bool hit) const {
-  ObsCount(config_.obs,
+  ObsCount(obs_,
            std::string("server.cache.") + kind + (hit ? ".hits" : ".misses"),
            1);
 }
 
 void PlanCache::PublishInsert(const char* kind, std::uint64_t evicted) const {
-  ObsCount(config_.obs, std::string("server.cache.") + kind + ".insertions", 1);
+  ObsCount(obs_, std::string("server.cache.") + kind + ".insertions", 1);
   if (evicted > 0) {
-    ObsCount(config_.obs, std::string("server.cache.") + kind + ".evictions",
+    ObsCount(obs_, std::string("server.cache.") + kind + ".evictions",
              evicted);
   }
-  ObsGauge(config_.obs, "server.cache.entries",
+  ObsGauge(obs_, "server.cache.entries",
            static_cast<std::uint64_t>(stats().entries));
 }
 
 void PlanCache::BeginEpoch() {
-  epoch_.fetch_add(1, std::memory_order_relaxed);
+  verdicts_.BeginEpoch();
+  reports_.BeginEpoch();
+  cores_.BeginEpoch();
+  evals_.BeginEpoch();
   artifacts_.BeginEpoch();
 }
 
 std::optional<CachedVerdict> PlanCache::LookupVerdict(const PlanKey& key,
                                                       bool* stable) {
-  auto out =
-      verdicts_.Lookup(key, epoch_.load(std::memory_order_relaxed), stable);
+  auto out = verdicts_.Lookup(key, stable);
   Publish("verdict", out.has_value());
   return out;
 }
 
 void PlanCache::InsertVerdict(const PlanKey& key, CachedVerdict verdict) {
-  PublishInsert("verdict",
-                verdicts_.Insert(key, std::move(verdict),
-                                 epoch_.load(std::memory_order_relaxed)));
+  PublishInsert("verdict", verdicts_.Insert(key, std::move(verdict)));
 }
 
 std::optional<analysis::AnalysisReport> PlanCache::LookupAnalysis(
     const PlanKey& key, bool* stable) {
-  auto out =
-      reports_.Lookup(key, epoch_.load(std::memory_order_relaxed), stable);
+  auto out = reports_.Lookup(key, stable);
   Publish("analysis", out.has_value());
   return out;
 }
 
 void PlanCache::InsertAnalysis(const PlanKey& key,
                                analysis::AnalysisReport report) {
-  PublishInsert("analysis",
-                reports_.Insert(key, std::move(report),
-                                epoch_.load(std::memory_order_relaxed)));
+  PublishInsert("analysis", reports_.Insert(key, std::move(report)));
 }
 
 std::optional<UnionQuery> PlanCache::LookupCoreUcq(std::uint64_t query_hash,
                                                    bool* stable) {
-  auto out = cores_.Lookup({query_hash, 0},
-                           epoch_.load(std::memory_order_relaxed), stable);
+  auto out = cores_.Lookup(query_hash, stable);
   Publish("core", out.has_value());
   return out;
 }
 
 void PlanCache::InsertCoreUcq(std::uint64_t query_hash, UnionQuery core) {
-  PublishInsert("core",
-                cores_.Insert({query_hash, 0}, std::move(core),
-                              epoch_.load(std::memory_order_relaxed)));
+  PublishInsert("core", cores_.Insert(query_hash, std::move(core)));
 }
 
 std::optional<CachedEval> PlanCache::LookupEval(const PlanKey& key,
                                                 bool* stable) {
-  auto out =
-      evals_.Lookup(key, epoch_.load(std::memory_order_relaxed), stable);
+  auto out = evals_.Lookup(key, stable);
   Publish("eval", out.has_value());
   return out;
 }
 
 void PlanCache::InsertEval(const PlanKey& key, CachedEval eval) {
-  PublishInsert("eval", evals_.Insert(key, std::move(eval),
-                                      epoch_.load(std::memory_order_relaxed)));
+  PublishInsert("eval", evals_.Insert(key, std::move(eval)));
 }
 
 PlanCacheStats PlanCache::stats() const {
-  PlanCacheStats out;
-  verdicts_.Collect(&out);
-  reports_.Collect(&out);
-  cores_.Collect(&out);
-  evals_.Collect(&out);
+  PlanCacheStats out = verdicts_.stats();
+  out += reports_.stats();
+  out += cores_.stats();
+  out += evals_.stats();
   return out;
 }
 

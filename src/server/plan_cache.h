@@ -1,18 +1,15 @@
 #ifndef QCONT_SERVER_PLAN_CACHE_H_
 #define QCONT_SERVER_PLAN_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <list>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "analysis/report.h"
 #include "base/hash.h"
+#include "base/lru_cache.h"
 #include "core/program_artifact_cache.h"
 #include "core/router.h"
 #include "cq/database.h"
@@ -49,13 +46,7 @@ struct CachedEval {
 
 /// Aggregate counters across all four entry kinds. `entries` is the
 /// current total population, the rest are monotonic.
-struct PlanCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t insertions = 0;
-  std::uint64_t evictions = 0;
-  std::size_t entries = 0;
-};
+using PlanCacheStats = LruCacheStats;
 
 /// Per-kind LRU capacities plus the observability sink. A capacity of 0
 /// disables that kind (every lookup misses, inserts are dropped).
@@ -75,8 +66,9 @@ struct PlanCacheConfig {
   const ObsContext* obs = nullptr;
 };
 
-/// The server's plan cache: four independent LRU maps keyed by canonical
-/// hashes, so alpha-renamed resubmissions of the same query/program hit.
+/// The server's plan cache: four independent LruCache instances keyed by
+/// canonical hashes, so alpha-renamed resubmissions of the same
+/// query/program hit.
 ///
 ///  - **verdict**: containment verdicts with witnesses (CachedVerdict),
 ///  - **analysis**: AnalysisReports (the routed entry points' input),
@@ -85,20 +77,14 @@ struct PlanCacheConfig {
 ///    re-parseable),
 ///  - **eval**: goal tuples of Π(D) per (program, database) pair.
 ///
-/// Thread safety: one mutex per kind; entries are returned by value. All
-/// methods may be called concurrently. Eviction is strict LRU per kind
-/// (lookup refreshes recency).
-///
-/// Epochs: every entry records the epoch it was first inserted in, and
-/// `BeginEpoch` (called by the server at batch start) advances the
-/// counter. A lookup's optional `stable` out-param reports whether the
-/// entry predates the current epoch — i.e. whether it would be present no
-/// matter how the current batch's work items are scheduled. The server
-/// derives its "hit"/"miss" response markers from `stable`, not from mere
-/// presence, which keeps the response stream identical across thread
-/// counts even when concurrent work items share a cache key (e.g. a
-/// containment and an analyze over the same Π/Θ, or two containments
-/// whose queries minimize to the same core).
+/// Thread safety, eviction and epochs are LruCache's (base/lru_cache.h):
+/// all methods may be called concurrently, entries are returned by value,
+/// and each kind is a strict LRU. The server calls `BeginEpoch` at batch
+/// start and derives its "hit"/"miss" response markers from a lookup's
+/// `stable` out-param, not from mere presence, which keeps the response
+/// stream identical across thread counts even when concurrent work items
+/// share a cache key (e.g. a containment and an analyze over the same Π/Θ,
+/// or two containments whose queries minimize to the same core).
 class PlanCache {
  public:
   explicit PlanCache(PlanCacheConfig config = {});
@@ -143,44 +129,16 @@ class PlanCache {
   void Clear();
 
  private:
-  /// One LRU shard: recency list of (key, value, insertion epoch) with an
-  /// index into it.
-  template <typename V>
-  struct Shard {
-    struct Entry {
-      PlanKey key;
-      V value;
-      std::uint64_t epoch = 0;  // epoch of the entry's FIRST insertion
-    };
-
-    mutable std::mutex mu;
-    std::size_t capacity = 0;
-    std::list<Entry> order;  // front = most recent
-    std::unordered_map<PlanKey, typename std::list<Entry>::iterator,
-                       PairHash<std::uint64_t, std::uint64_t>>
-        index;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;
-
-    std::optional<V> Lookup(const PlanKey& key, std::uint64_t current_epoch,
-                            bool* stable);
-    /// Returns the number of entries evicted by this insert (0 or 1).
-    std::uint64_t Insert(const PlanKey& key, V value, std::uint64_t epoch);
-    void Collect(PlanCacheStats* out) const;
-    void Clear();
-  };
+  using PairKeyHash = PairHash<std::uint64_t, std::uint64_t>;
 
   void Publish(const char* kind, bool hit) const;
   void PublishInsert(const char* kind, std::uint64_t evicted) const;
 
-  PlanCacheConfig config_;
-  std::atomic<std::uint64_t> epoch_{0};
-  Shard<CachedVerdict> verdicts_;
-  Shard<analysis::AnalysisReport> reports_;
-  Shard<UnionQuery> cores_;
-  Shard<CachedEval> evals_;
+  const ObsContext* obs_;
+  LruCache<PlanKey, CachedVerdict, PairKeyHash> verdicts_;
+  LruCache<PlanKey, analysis::AnalysisReport, PairKeyHash> reports_;
+  LruCache<std::uint64_t, UnionQuery> cores_;
+  LruCache<PlanKey, CachedEval, PairKeyHash> evals_;
   ProgramArtifactCache artifacts_;
 };
 

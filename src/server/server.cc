@@ -1,6 +1,7 @@
 #include "server/server.h"
 
 #include <chrono>
+#include <limits>
 #include <map>
 #include <optional>
 #include <tuple>
@@ -248,7 +249,12 @@ void PrepareRequest(const std::string& line, const ServerOptions& options,
       return;
     }
     p->has_deadline = true;
-    p->deadline_ms = static_cast<std::uint64_t>(deadline->number_value());
+    // Saturate: casting a double >= 2^64 to uint64 is undefined (and in
+    // practice wrapped to the "already expired" 0), while a deadline that
+    // large means no practical deadline at all.
+    const double ms = deadline->number_value();
+    p->deadline_ms = ms >= 0x1p64 ? std::numeric_limits<std::uint64_t>::max()
+                                  : static_cast<std::uint64_t>(ms);
   }
 
   auto text_field = [&](const char* name) -> const std::string* {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -209,30 +210,40 @@ TEST(AnalysisCacheTest, AlphaEquivalentQueriesShareOneEntry) {
   EXPECT_EQ(after.entries, before.entries);
 }
 
+TEST(AnalysisCacheTest, GlobalCacheIsBounded) {
+  analysis::ClearGlobalAnalysisCache();
+  const std::size_t bound = analysis::kGlobalAnalysisCacheCapacity;
+  for (std::size_t i = 0; i <= bound; ++i) {
+    ConjunctiveQuery q({Term::Variable("x")},
+                       {Atom("p" + std::to_string(i),
+                             {Term::Variable("x"), Term::Variable("y")})});
+    analysis::AnalyzeForRouting(UnionQuery({q}));
+  }
+  AnalysisCacheStats stats = analysis::GlobalAnalysisCacheStats();
+  EXPECT_EQ(stats.entries, bound);
+  EXPECT_GE(stats.evictions, 1u);
+}
+
 TEST(ChooseEngineTest, PolicyOverReportFields) {
   analysis::AnalysisReport report;
-  analysis::RoutingOptions options;
 
   report.acyclic = true;
-  EXPECT_EQ(analysis::ChooseEngine(report, analysis::RoutingGoal::kEvaluate,
-                                   options),
+  EXPECT_EQ(analysis::ChooseEngine(report, analysis::RoutingGoal::kEvaluate),
             EngineKind::kYannakakis);
-  EXPECT_EQ(analysis::ChooseEngine(report, analysis::RoutingGoal::kContainment,
-                                   options),
-            EngineKind::kAckEngine);
+  EXPECT_EQ(
+      analysis::ChooseEngine(report, analysis::RoutingGoal::kContainment),
+      EngineKind::kAckEngine);
 
   report.acyclic = false;
   report.treewidth = 2;
-  EXPECT_EQ(analysis::ChooseEngine(report, analysis::RoutingGoal::kEvaluate,
-                                   options),
+  EXPECT_EQ(analysis::ChooseEngine(report, analysis::RoutingGoal::kEvaluate),
             EngineKind::kDecompDp);
-  EXPECT_EQ(analysis::ChooseEngine(report, analysis::RoutingGoal::kContainment,
-                                   options),
-            EngineKind::kTypeEngine);
+  EXPECT_EQ(
+      analysis::ChooseEngine(report, analysis::RoutingGoal::kContainment),
+      EngineKind::kTypeEngine);
 
   report.treewidth = 7;
-  EXPECT_EQ(analysis::ChooseEngine(report, analysis::RoutingGoal::kEvaluate,
-                                   options),
+  EXPECT_EQ(analysis::ChooseEngine(report, analysis::RoutingGoal::kEvaluate),
             EngineKind::kGenericHomSearch);
 }
 

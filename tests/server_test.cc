@@ -338,6 +338,20 @@ TEST(ServerTest, DeadlineZeroExpiresDeterministically) {
   EXPECT_EQ(server.stats().deadline_exceeded, 1u);
 }
 
+// Deadlines past the uint64 range saturate to "no practical deadline"
+// rather than wrapping to the 0 "already expired" hook.
+TEST(ServerTest, HugeDeadlineDoesNotExpire) {
+  Server server(ServerOptions{});
+  for (const char* deadline : {"1e300", "18446744073709551616"}) {
+    const std::string response = server.HandleLine(
+        R"({"op":"analyze","query":"Q(x) :- e(x,y).","deadline_ms":)" +
+        std::string(deadline) + "}");
+    EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos)
+        << response;
+  }
+  EXPECT_EQ(server.stats().deadline_exceeded, 0u);
+}
+
 TEST(ServerTest, DefaultDeadlineAppliesWhenRequestHasNone) {
   ServerOptions options;
   options.default_deadline_ms = 0;  // 0 = no default deadline
