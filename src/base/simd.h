@@ -57,7 +57,8 @@ inline void PrefetchRead(const void* p) {
 #endif
 }
 
-/// Scalar SWAR reference: bit i of the result is set iff tags[i] == needle,
+/// Scalar SWAR half-group compare (the building block of
+/// MatchBytes16Scalar): bit i of the result is set iff tags[i] == needle,
 /// for i in [0, 8). Zero-byte detection on the XOR-ed word must be exact
 /// per byte, so it uses the carry-free form ~((lo7 + 0x7f..) | x | 0x7f..)
 /// — the borrow-based (x - 0x01..) & ~x & 0x80.. trick falsely flags bytes
@@ -109,18 +110,6 @@ inline std::uint32_t MatchBytes16(const std::uint8_t* tags,
          (static_cast<std::uint32_t>(vaddv_u8(hi)) << 8);
 #else
   return MatchBytes16Scalar(tags, needle);
-#endif
-}
-
-/// Group compare over the first `width` bytes only (width 8 or 16 — the
-/// probe-group-width knob). Bits >= width are always clear.
-inline std::uint32_t MatchBytes(const std::uint8_t* tags, std::uint8_t needle,
-                                std::uint32_t width) {
-  if (width == 16) return MatchBytes16(tags, needle);
-#if defined(QCONT_SIMD_SSE2) || defined(QCONT_SIMD_NEON)
-  return MatchBytes16(tags, needle) & 0xffu;
-#else
-  return MatchBytes8Scalar(tags, needle);
 #endif
 }
 

@@ -17,10 +17,22 @@ namespace qcont {
 
 namespace {
 
+// Fixed probe-kernel constants (DESIGN.md §16 records the sweep each was
+// chosen from).
+//
+// Tag probe-group width in slots: one SSE2/NEON 16-byte compare per group.
+constexpr std::uint32_t kGroupWidth = 16;
+// Probe-table growth threshold: grow once occupied slots would exceed this
+// percentage of capacity. With shards, the bound applies per shard table.
+constexpr std::size_t kMaxLoadPercent = 75;
+// ProbeMany lookahead: while key i resolves, the tag group and home slot
+// of key i + kPrefetchDistance are software-prefetched.
+constexpr std::size_t kPrefetchDistance = 8;
+
 // Overhang of the tag array past the slot capacity: the first group is
 // mirrored there so a group load starting at any slot index stays in
-// bounds. Sized for the widest probe group (ProbeOptions::group_width).
-constexpr std::size_t kTagMirror = 16;
+// bounds.
+constexpr std::size_t kTagMirror = kGroupWidth;
 
 // Slot tag: the top 7 hash bits with the high bit set, so an occupied
 // slot's tag is never 0 (the empty-slot tag) and never matches a
@@ -61,20 +73,6 @@ inline std::uint32_t HighestBit(std::uint32_t mask) {
   std::uint32_t top = 0;
   while (mask >>= 1) ++top;
   return top;
-}
-
-// Key of `row` under `mask`: values at masked positions, ascending. Returns
-// false if the row is too short to be constrained by every masked position
-// (legacy layout only; flat relations have uniform arity).
-inline bool KeyOf(const std::vector<ValueId>& row, std::uint32_t mask,
-                  std::vector<ValueId>* key) {
-  key->clear();
-  for (std::uint32_t p = 0; mask >> p != 0; ++p) {
-    if ((mask >> p & 1u) == 0) continue;
-    if (p >= row.size()) return false;
-    key->push_back(row[p]);
-  }
-  return true;
 }
 
 // Inline slot key for key widths <= 2: each value shifted up by one so the
@@ -130,7 +128,7 @@ std::uint64_t Database::HashKey(const FlatIndex& idx,
 
 // Tag-filtered probe scan for `key`: returns the slot holding it, or the
 // empty slot where it would be inserted. Scans probe groups of
-// `group_width` slots from the home slot: one byte-wise group compare
+// kGroupWidth slots from the home slot: one byte-wise group compare
 // against the key's tag selects the candidate slots (counted in
 // `tag_hits`, with the occupied non-candidates in `tag_skips`), each
 // candidate is full-key compared in scan order (failures counted in
@@ -145,16 +143,15 @@ std::size_t Database::FindSlot(const FlatIndex& idx,
                                std::uint64_t packed, std::uint64_t h,
                                LocalProbeCounters* c) const {
   const std::size_t cap_mask = idx.slots.size() - 1;
-  const auto width = static_cast<std::uint32_t>(probe_options_.group_width);
   const std::uint8_t tag = TagOf(h);
   std::size_t i = h & cap_mask;
   while (true) {
     const std::uint8_t* group = idx.tags.data() + i;
-    std::uint32_t match = MatchBytes(group, tag, width);
-    const std::uint32_t empty = MatchBytes(group, 0, width);
+    std::uint32_t match = MatchBytes16(group, tag);
+    const std::uint32_t empty = MatchBytes16(group, 0);
     const std::uint32_t stop =
         empty != 0 ? static_cast<std::uint32_t>(std::countr_zero(empty))
-                   : width;
+                   : kGroupWidth;
     match &= (1u << stop) - 1u;  // stop <= 16 < 32: no shift UB
     c->tag_skips += stop - static_cast<std::uint32_t>(std::popcount(match));
     while (match != 0) {
@@ -173,7 +170,7 @@ std::size_t Database::FindSlot(const FlatIndex& idx,
       ++c->collisions;
     }
     if (empty != 0) return (i + stop) & cap_mask;
-    i = (i + width) & cap_mask;
+    i = (i + kGroupWidth) & cap_mask;
   }
 }
 
@@ -195,21 +192,20 @@ void Database::FlushProbeCounters(const LocalProbeCounters& c) const {
 }
 
 // Grows `idx` so that `keys` occupied slots stay at or under the
-// configured load factor (ProbeOptions::max_load_percent, default 75).
+// kMaxLoadPercent load factor.
 // Growing rehashes the slots and rebuilds the tag array and Bloom filter —
 // the postings arena and wide-key storage are untouched. Safe to call
 // concurrently on *distinct* indexes (the shard-parallel AddRowBatch path):
 // it touches only `idx` and the caller's counter stripe.
 void Database::EnsureFlatCapacity(FlatIndex* idx, std::size_t keys) const {
   const std::size_t cap = idx->slots.size();
-  const auto load = static_cast<std::size_t>(probe_options_.max_load_percent);
-  if (cap != 0 && keys * 100 <= cap * load) return;
+  if (cap != 0 && keys * 100 <= cap * kMaxLoadPercent) return;
   // Start at 32 slots: small relations (canonical databases are a few dozen
   // rows) reach steady state with at most one growth rebuild, which now
   // rebuilds tag and filter metadata alongside the slots. ~0.8 KB per
   // index at rest.
   std::size_t new_cap = cap == 0 ? 32 : cap;
-  while (keys * 100 > new_cap * load) new_cap <<= 1;
+  while (keys * 100 > new_cap * kMaxLoadPercent) new_cap <<= 1;
   std::vector<FlatIndex::Slot> old = std::move(idx->slots);
   idx->slots.assign(new_cap, FlatIndex::Slot{});
   idx->tags.assign(new_cap + kTagMirror, 0);
@@ -245,27 +241,64 @@ std::size_t Database::InsertSlot(FlatIndex* idx, std::span<const ValueId> key,
   const std::uint64_t h = HashKey(*idx, key, packed);
   LocalProbeCounters ignored;  // insert-path scans are not probe signal
   const std::size_t i = FindSlot(*idx, key, packed, h, &ignored);
-  FlatIndex::Slot& s = idx->slots[i];
-  if (s.key == 0) {
-    if (idx->key_width <= 2) {
-      s.key = packed;
-    } else {
-      const std::uint64_t off = idx->wide_keys.size() / idx->key_width;
-      idx->wide_keys.insert(idx->wide_keys.end(), key.begin(), key.end());
-      s.key = off + 1;
-    }
-    SetTagAt(idx->tags, idx->slots.size(), i, TagOf(h));
-    BloomAdd(idx->bloom, h);
-    ++idx->used;
-  }
+  if (idx->slots[i].key == 0) ClaimSlot(idx, i, key, packed, h);
   return i;
+}
+
+// Writes `key` (hash `h`) into the empty slot `i`: the slot key — packed,
+// or an offset into `wide_keys` — its tag and its Bloom bits.
+void Database::ClaimSlot(FlatIndex* idx, std::size_t i,
+                         std::span<const ValueId> key, std::uint64_t packed,
+                         std::uint64_t h) {
+  FlatIndex::Slot& s = idx->slots[i];
+  if (idx->key_width <= 2) {
+    s.key = packed;
+  } else {
+    const std::uint64_t off = idx->wide_keys.size() / idx->key_width;
+    idx->wide_keys.insert(idx->wide_keys.end(), key.begin(), key.end());
+    s.key = off + 1;
+  }
+  SetTagAt(idx->tags, idx->slots.size(), i, TagOf(h));
+  BloomAdd(idx->bloom, h);
+  ++idx->used;
+}
+
+// ClaimSlot for a primary (full-row) table: the slot's bucket is a fresh
+// one-entry postings slice holding global row `row`.
+void Database::ClaimPrimarySlot(FlatIndex* idx, std::size_t i,
+                                std::span<const ValueId> key,
+                                std::uint64_t packed, std::uint64_t h,
+                                std::uint32_t row) {
+  ClaimSlot(idx, i, key, packed, h);
+  FlatIndex::Slot& s = idx->slots[i];
+  s.start = static_cast<std::uint32_t>(idx->postings.size());
+  s.len = 1;
+  idx->postings.push_back(row);
+}
+
+// Counted dedup lookup of a batch candidate in a primary table, Bloom-gated
+// like ProbeMany: returns the empty slot to claim for it, or kDuplicateRow
+// if the row is present. A filter miss proves the row absent, even against
+// earlier claims of the same batch (claims BloomAdd); the scan that then
+// finds its slot is insert work, not probe signal.
+std::size_t Database::DedupSlot(const FlatIndex& idx,
+                                std::span<const ValueId> key,
+                                std::uint64_t packed, std::uint64_t h,
+                                LocalProbeCounters* c) const {
+  if (!BloomMayContain(idx.bloom, h)) {
+    ++c->filter_skips;
+    LocalProbeCounters ignored;
+    return FindSlot(idx, key, packed, h, &ignored);
+  }
+  const std::size_t i = FindSlot(idx, key, packed, h, c);
+  return idx.slots[i].key != 0 ? kDuplicateRow : i;
 }
 
 std::span<const std::uint32_t> Database::LookupFlatHashed(
     const FlatIndex& idx, std::span<const ValueId> key, std::uint64_t packed,
     std::uint64_t h) const {
   if (idx.slots.empty()) return {};
-  if (probe_options_.use_filters && !BloomMayContain(idx.bloom, h)) {
+  if (!BloomMayContain(idx.bloom, h)) {
     stats_stripe().filter_skips.fetch_add(1, std::memory_order_relaxed);
     return {};
   }
@@ -383,52 +416,6 @@ const Database::FlatIndex* Database::EnsureFlatIndex(const RelationData& data,
 }
 
 // ---------------------------------------------------------------------------
-// Legacy probe path (the original unordered_map implementation, kept as a
-// differential reference behind DatabaseLayout::kLegacy).
-// ---------------------------------------------------------------------------
-
-std::span<const std::uint32_t> Database::ProbeLegacy(
-    const RelationData& data, std::uint32_t mask,
-    std::span<const ValueId> key) const {
-  const std::vector<ValueId> key_v(key.begin(), key.end());
-  {
-    std::shared_lock<std::shared_mutex> lock(memo_mu_.mu);
-    auto idx_it = data.indexes.find(mask);
-    if (idx_it != data.indexes.end() &&
-        idx_it->second.rows_indexed == data.rows.size()) {
-      const RelIndex& index = idx_it->second;
-      auto bucket = index.buckets.find(key_v);
-      if (bucket == index.buckets.end()) return {};
-      return {bucket->second.data(), bucket->second.size()};
-    }
-  }
-  std::unique_lock<std::shared_mutex> lock(memo_mu_.mu);
-  memo_exclusive_locks_.v.fetch_add(1, std::memory_order_relaxed);
-  auto [idx_it, built] = data.indexes.try_emplace(mask);
-  RelIndex& index = idx_it->second;
-  if (built) {
-    stats_stripe().indexes_built.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (index.rows_indexed < data.rows.size()) {
-    ObsSpan build_span(obs_, "db/index_build", "db");
-    build_span.AddArg("mask", mask);
-    build_span.AddArg("rows", data.rows.size() - index.rows_indexed);
-    const std::uint32_t top = HighestBit(mask);
-    std::vector<ValueId> row_key;
-    row_key.reserve(static_cast<std::size_t>(top) + 1);
-    for (std::size_t r = index.rows_indexed; r < data.rows.size(); ++r) {
-      if (!KeyOf(data.rows[r], mask, &row_key)) continue;
-      index.buckets[row_key].push_back(static_cast<std::uint32_t>(r));
-      stats_stripe().rows_indexed.fetch_add(1, std::memory_order_relaxed);
-    }
-    index.rows_indexed = data.rows.size();
-  }
-  auto bucket = index.buckets.find(key_v);
-  if (bucket == index.buckets.end()) return {};
-  return {bucket->second.data(), bucket->second.size()};
-}
-
-// ---------------------------------------------------------------------------
 // Storage.
 // ---------------------------------------------------------------------------
 
@@ -447,9 +434,7 @@ Database::RelationData& Database::EnsureRelation(RelationId rel) {
     rels_.emplace_back();
     rels_.back().name = pool_->NameOf(rel);
     rels_.back().id = rel;
-    if (layout_ == DatabaseLayout::kFlat) {
-      rels_.back().shards.resize(static_cast<std::size_t>(shard_count_));
-    }
+    rels_.back().shards.resize(static_cast<std::size_t>(shard_count_));
     rel_ids_.push_back(rel);
     relations_dirty_ = true;
   }
@@ -458,58 +443,36 @@ Database::RelationData& Database::EnsureRelation(RelationId rel) {
 
 bool Database::AddRowInternal(RelationData& data, std::span<const ValueId> row,
                               Tuple* tuple) {
-  RelShard* sh = nullptr;
-  std::uint32_t shard_idx = 0;
-  if (layout_ == DatabaseLayout::kFlat) {
-    if (data.num_rows == 0) {
-      data.arity = row.size();
-      for (RelShard& s : data.shards) {
-        s.primary.key_width = static_cast<std::uint32_t>(row.size());
-      }
-    } else {
-      QCONT_CHECK_MSG(row.size() == data.arity,
-                      "flat relations have uniform arity");
+  if (data.num_rows == 0) {
+    data.arity = row.size();
+    for (RelShard& s : data.shards) {
+      s.primary.key_width = static_cast<std::uint32_t>(row.size());
     }
-    // Duplicate detection through the owning shard's eager full-row table;
-    // a hit means the fact exists and nothing below runs — in particular
-    // the mutation epoch only bumps once the row is actually claimed, so
-    // the (hot) duplicate path touches no atomics. The row-key hash both
-    // routes to the shard (base/shard.h) and probes its table.
-    const std::uint64_t packed =
-        PackedKey(static_cast<std::uint32_t>(data.arity), row);
-    const std::uint64_t h =
-        HashRowKey(static_cast<std::uint32_t>(data.arity), row, packed);
-    shard_idx = shard_count_ > 1
-                    ? ShardOf(h, static_cast<std::uint32_t>(shard_count_))
-                    : 0;
-    sh = &data.shards[shard_idx];
-    FlatIndex& idx = sh->primary;
-    EnsureFlatCapacity(&idx, idx.used + 1);
-    LocalProbeCounters ignored;  // insert-path scans are not probe signal
-    const std::size_t i = FindSlot(idx, row, packed, h, &ignored);
-    FlatIndex::Slot& s = idx.slots[i];
-    if (s.key != 0) return false;
-    BumpEpoch();
-    if (idx.key_width <= 2) {
-      s.key = packed;
-    } else {
-      const std::uint64_t off = idx.wide_keys.size() / idx.key_width;
-      idx.wide_keys.insert(idx.wide_keys.end(), row.begin(), row.end());
-      s.key = off + 1;
-    }
-    SetTagAt(idx.tags, idx.slots.size(), i, TagOf(h));
-    BloomAdd(idx.bloom, h);
-    ++idx.used;
-    s.start = static_cast<std::uint32_t>(idx.postings.size());
-    s.len = 1;
-    idx.postings.push_back(static_cast<std::uint32_t>(data.num_rows));
   } else {
-    if (data.num_rows == 0) data.arity = row.size();
-    std::vector<ValueId> row_v(row.begin(), row.end());
-    if (!data.set.insert(row_v).second) return false;
-    BumpEpoch();
-    data.rows.push_back(std::move(row_v));
+    QCONT_CHECK_MSG(row.size() == data.arity,
+                    "relations have uniform arity");
   }
+  // Duplicate detection through the owning shard's eager full-row table;
+  // a hit means the fact exists and nothing below runs — in particular
+  // the mutation epoch only bumps once the row is actually claimed, so
+  // the (hot) duplicate path touches no atomics. The row-key hash both
+  // routes to the shard (base/shard.h) and probes its table.
+  const std::uint64_t packed =
+      PackedKey(static_cast<std::uint32_t>(data.arity), row);
+  const std::uint64_t h =
+      HashRowKey(static_cast<std::uint32_t>(data.arity), row, packed);
+  const std::uint32_t shard_idx =
+      shard_count_ > 1 ? ShardOf(h, static_cast<std::uint32_t>(shard_count_))
+                       : 0;
+  RelShard& sh = data.shards[shard_idx];
+  FlatIndex& idx = sh.primary;
+  EnsureFlatCapacity(&idx, idx.used + 1);
+  LocalProbeCounters ignored;  // insert-path scans are not probe signal
+  const std::size_t i = FindSlot(idx, row, packed, h, &ignored);
+  if (idx.slots[i].key != 0) return false;
+  BumpEpoch();
+  ClaimPrimarySlot(&idx, i, row, packed, h,
+                   static_cast<std::uint32_t>(data.num_rows));
   Tuple out;
   if (tuple != nullptr) {
     out = std::move(*tuple);
@@ -517,20 +480,17 @@ bool Database::AddRowInternal(RelationData& data, std::span<const ValueId> row,
     out.reserve(row.size());
     for (ValueId id : row) out.push_back(pool_->NameOf(id));
   }
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    if (domain_ids_.insert(row[i]).second) {
-      domain_.push_back(out[i]);
-      domain_ids_list_.push_back(row[i]);
+  for (std::size_t k = 0; k < row.size(); ++k) {
+    if (domain_ids_.insert(row[k]).second) {
+      domain_.push_back(out[k]);
+      domain_ids_list_.push_back(row[k]);
     }
   }
-  if (layout_ == DatabaseLayout::kFlat) {
-    sh->arena.insert(sh->arena.end(), row.begin(), row.end());
-    sh->primary.rows_indexed = sh->primary.postings.size();
-    if (shard_count_ > 1) {
-      data.row_dir.push_back(
-          {shard_idx,
-           static_cast<std::uint32_t>(sh->primary.postings.size() - 1)});
-    }
+  sh.arena.insert(sh.arena.end(), row.begin(), row.end());
+  idx.rows_indexed = idx.postings.size();
+  if (shard_count_ > 1) {
+    data.row_dir.push_back(
+        {shard_idx, static_cast<std::uint32_t>(idx.postings.size() - 1)});
   }
   data.tuples.push_back(std::move(out));
   ++data.num_rows;
@@ -560,33 +520,19 @@ std::size_t Database::AddRowBatch(RelationId rel, std::size_t arity,
   if (n == 0) return 0;
   BumpEpoch();
   // Per-candidate dedup lookups are probe signal (the per-key ProbeMany
-  // contract): one `probes` tick per candidate, on every layout.
+  // contract): one `probes` tick per candidate.
   stats_stripe().probes.fetch_add(n, std::memory_order_relaxed);
   RelationData& data = EnsureRelation(rel);
-  if (layout_ == DatabaseLayout::kLegacy) {
-    std::size_t added_count = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (AddRowInternal(data, rows.subspan(i * arity, arity), nullptr)) {
-        ++added_count;
-        if (added != nullptr) {
-          added->push_back(static_cast<std::uint32_t>(data.num_rows - 1));
-        }
-      }
-    }
-    return added_count;
-  }
   if (data.num_rows == 0) {
     data.arity = arity;
     for (RelShard& s : data.shards) {
       s.primary.key_width = static_cast<std::uint32_t>(arity);
     }
   } else {
-    QCONT_CHECK_MSG(arity == data.arity,
-                    "flat relations have uniform arity");
+    QCONT_CHECK_MSG(arity == data.arity, "relations have uniform arity");
   }
   const auto P = static_cast<std::uint32_t>(shard_count_);
   const auto w = static_cast<std::uint32_t>(arity);
-  const bool filter = probe_options_.use_filters;
 
   // Small unsharded batches (the common delta-round case: tens of rows)
   // take a serial fast path: the same per-candidate sequence as the staged
@@ -606,34 +552,10 @@ std::size_t Database::AddRowBatch(RelationId rel, std::size_t arity,
       const std::uint64_t packed = PackedKey(w, key);
       const std::uint64_t h = HashKey(idx, key, packed);
       EnsureFlatCapacity(&idx, idx.used + 1);
-      bool have_slot = false;
-      std::size_t slot_i = 0;
-      if (filter && !BloomMayContain(idx.bloom, h)) {
-        ++c.filter_skips;
-      } else {
-        slot_i = FindSlot(idx, key, packed, h, &c);
-        if (idx.slots[slot_i].key != 0) continue;  // duplicate
-        have_slot = true;
-      }
-      if (!have_slot) {
-        LocalProbeCounters ignored;  // insert scan, not probe signal
-        slot_i = FindSlot(idx, key, packed, h, &ignored);
-      }
-      FlatIndex::Slot& slot = idx.slots[slot_i];
-      if (idx.key_width <= 2) {
-        slot.key = packed;
-      } else {
-        const std::uint64_t off = idx.wide_keys.size() / idx.key_width;
-        idx.wide_keys.insert(idx.wide_keys.end(), key.begin(), key.end());
-        slot.key = off + 1;
-      }
-      SetTagAt(idx.tags, idx.slots.size(), slot_i, TagOf(h));
-      BloomAdd(idx.bloom, h);
-      ++idx.used;
+      const std::size_t slot_i = DedupSlot(idx, key, packed, h, &c);
+      if (slot_i == kDuplicateRow) continue;
       const auto g = static_cast<std::uint32_t>(data.num_rows);
-      slot.start = static_cast<std::uint32_t>(idx.postings.size());
-      slot.len = 1;
-      idx.postings.push_back(g);
+      ClaimPrimarySlot(&idx, slot_i, key, packed, h, g);
       sh.arena.insert(sh.arena.end(), key.begin(), key.end());
       Tuple t;
       t.reserve(arity);
@@ -714,35 +636,10 @@ std::size_t Database::AddRowBatch(RelationId rel, std::size_t arity,
       const std::size_t i = *p;
       const std::span<const ValueId> key = rows.subspan(i * arity, arity);
       EnsureFlatCapacity(&idx, idx.used + 1);
-      // Dedup lookup, Bloom-gated like ProbeMany. A filter miss proves the
-      // row absent even against earlier batch claims (claims BloomAdd).
-      bool have_slot = false;
-      std::size_t slot_i = 0;
-      if (filter && !BloomMayContain(idx.bloom, hashes[i])) {
-        ++c.filter_skips;
-      } else {
-        slot_i = FindSlot(idx, key, packs[i], hashes[i], &c);
-        if (idx.slots[slot_i].key != 0) continue;  // duplicate
-        have_slot = true;
-      }
-      if (!have_slot) {
-        LocalProbeCounters ignored;  // insert scan, not probe signal
-        slot_i = FindSlot(idx, key, packs[i], hashes[i], &ignored);
-      }
-      FlatIndex::Slot& slot = idx.slots[slot_i];
-      if (idx.key_width <= 2) {
-        slot.key = packs[i];
-      } else {
-        const std::uint64_t off = idx.wide_keys.size() / idx.key_width;
-        idx.wide_keys.insert(idx.wide_keys.end(), key.begin(), key.end());
-        slot.key = off + 1;
-      }
-      SetTagAt(idx.tags, idx.slots.size(), slot_i, TagOf(hashes[i]));
-      BloomAdd(idx.bloom, hashes[i]);
-      ++idx.used;
-      slot.start = static_cast<std::uint32_t>(idx.postings.size());
-      slot.len = 1;
-      idx.postings.push_back(0);  // placeholder; patched with the global id
+      const std::size_t slot_i = DedupSlot(idx, key, packs[i], hashes[i], &c);
+      if (slot_i == kDuplicateRow) continue;
+      // Row 0 is a placeholder, patched with the global id in stage 3.
+      ClaimPrimarySlot(&idx, slot_i, key, packs[i], hashes[i], 0);
       sh.arena.insert(sh.arena.end(), key.begin(), key.end());
       survivor[i] = 1;
     }
@@ -805,22 +702,18 @@ std::size_t Database::AddRowBatch(RelationId rel, std::size_t arity,
 
 bool Database::HasRow(RelationId rel, std::span<const ValueId> row) const {
   const RelationData* data = FindRelation(rel);
-  if (data == nullptr) return false;
-  if (layout_ == DatabaseLayout::kFlat) {
-    if (row.size() != data->arity) return false;
-    EpochReadGuard guard(mutation_epoch_.v);
-    if (shard_count_ == 1) {
-      return !LookupFlat(data->shards[0].primary, row).empty();
-    }
-    const FlatIndex& proto = data->shards[0].primary;
-    const std::uint64_t packed = PackedKey(proto.key_width, row);
-    const std::uint64_t h = HashKey(proto, row, packed);
-    const FlatIndex& idx =
-        data->shards[ShardOf(h, static_cast<std::uint32_t>(shard_count_))]
-            .primary;
-    return !LookupFlatHashed(idx, row, packed, h).empty();
+  if (data == nullptr || row.size() != data->arity) return false;
+  EpochReadGuard guard(mutation_epoch_.v);
+  if (shard_count_ == 1) {
+    return !LookupFlat(data->shards[0].primary, row).empty();
   }
-  return data->set.count(std::vector<ValueId>(row.begin(), row.end())) > 0;
+  const FlatIndex& proto = data->shards[0].primary;
+  const std::uint64_t packed = PackedKey(proto.key_width, row);
+  const std::uint64_t h = HashKey(proto, row, packed);
+  const FlatIndex& idx =
+      data->shards[ShardOf(h, static_cast<std::uint32_t>(shard_count_))]
+          .primary;
+  return !LookupFlatHashed(idx, row, packed, h).empty();
 }
 
 bool Database::HasFact(const std::string& relation, const Tuple& tuple) const {
@@ -855,22 +748,19 @@ std::size_t Database::Arity(RelationId rel) const {
 std::span<const ValueId> Database::Row(RelationId rel, std::size_t r) const {
   const RelationData* data = FindRelation(rel);
   QCONT_CHECK(data != nullptr && r < data->num_rows);
-  if (layout_ == DatabaseLayout::kFlat) {
-    if (data->row_dir.empty()) {
-      return {data->shards[0].arena.data() + r * data->arity, data->arity};
-    }
-    const RowRef ref = data->row_dir[r];
-    return {data->shards[ref.shard].arena.data() +
-                static_cast<std::size_t>(ref.local) * data->arity,
-            data->arity};
+  if (data->row_dir.empty()) {
+    return {data->shards[0].arena.data() + r * data->arity, data->arity};
   }
-  return {data->rows[r].data(), data->rows[r].size()};
+  const RowRef ref = data->row_dir[r];
+  return {data->shards[ref.shard].arena.data() +
+              static_cast<std::size_t>(ref.local) * data->arity,
+          data->arity};
 }
 
 std::span<const ValueId> Database::Arena(RelationId rel) const {
   const RelationData* data = FindRelation(rel);
-  if (data == nullptr || layout_ != DatabaseLayout::kFlat) return {};
-  if (!data->row_dir.empty()) return {};  // sharded: no contiguous block
+  // Sharded relations have no contiguous block.
+  if (data == nullptr || !data->row_dir.empty()) return {};
   return {data->shards[0].arena.data(), data->shards[0].arena.size()};
 }
 
@@ -880,9 +770,7 @@ Database::RowView Database::Rows(RelationId rel) const {
   if (data == nullptr || data->num_rows == 0) return v;
   v.data_ = data;
   v.arity_ = data->arity;
-  if (layout_ == DatabaseLayout::kLegacy) {
-    v.mode_ = 3;
-  } else if (data->row_dir.empty()) {
+  if (data->row_dir.empty()) {
     v.mode_ = 1;
     v.base_ = data->shards[0].arena.data();
   } else {
@@ -896,7 +784,6 @@ std::span<const std::uint32_t> Database::Probe(
   stats_stripe().probes.fetch_add(1, std::memory_order_relaxed);
   const RelationData* data = FindRelation(rel);
   if (data == nullptr) return {};
-  if (layout_ == DatabaseLayout::kLegacy) return ProbeLegacy(*data, mask, key);
   EpochReadGuard guard(mutation_epoch_.v);
   // Fully-bound probes are served by the eagerly maintained full-row
   // primary table of the key's own shard: no lazy build, no lock, and the
@@ -932,12 +819,6 @@ void Database::ProbeMany(RelationId rel, std::uint32_t mask,
     std::fill(out.begin(), out.end(), std::span<const std::uint32_t>());
     return;
   }
-  if (layout_ == DatabaseLayout::kLegacy) {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = ProbeLegacy(*data, mask, keys.subspan(i * w, w));
-    }
-    return;
-  }
   EpochReadGuard guard(mutation_epoch_.v);
   const FlatIndex* idx;
   if (IsFullMask(*data, mask)) {
@@ -966,21 +847,16 @@ void Database::ProbeMany(RelationId rel, std::uint32_t mask,
     packs[i] = PackedKey(w, key);
     hashes[i] = HashKey(*idx, key, packs[i]);
   }
-  const bool filter = probe_options_.use_filters;
-  const std::size_t dist =
-      std::min<std::size_t>(probe_options_.prefetch_distance, n);
-  if (dist > 0) {
-    stats_stripe().prefetch_batches.fetch_add((n + dist - 1) / dist,
-                                              std::memory_order_relaxed);
-  }
+  const std::size_t dist = std::min(kPrefetchDistance, n);
+  stats_stripe().prefetch_batches.fetch_add((n + dist - 1) / dist,
+                                            std::memory_order_relaxed);
   for (std::size_t i = 0; i < n; ++i) {
-    if (i + dist < n && (!filter || BloomMayContain(idx->bloom,
-                                                    hashes[i + dist]))) {
+    if (i + dist < n && BloomMayContain(idx->bloom, hashes[i + dist])) {
       const std::size_t home = hashes[i + dist] & cap_mask;
       PrefetchRead(idx->tags.data() + home);
       PrefetchRead(idx->slots.data() + home);
     }
-    if (filter && !BloomMayContain(idx->bloom, hashes[i])) {
+    if (!BloomMayContain(idx->bloom, hashes[i])) {
       ++c.filter_skips;
       out[i] = {};
       continue;
@@ -1017,18 +893,14 @@ void Database::ProbeManySharded(
     hashes[i] = HashKey(proto, key, packs[i]);
     shard_of[i] = ShardOf(hashes[i], P);
   }
-  const bool filter = probe_options_.use_filters;
-  const std::size_t dist =
-      std::min<std::size_t>(probe_options_.prefetch_distance, n);
-  if (dist > 0) {
-    stats_stripe().prefetch_batches.fetch_add((n + dist - 1) / dist,
-                                              std::memory_order_relaxed);
-  }
+  const std::size_t dist = std::min(kPrefetchDistance, n);
+  stats_stripe().prefetch_batches.fetch_add((n + dist - 1) / dist,
+                                            std::memory_order_relaxed);
   for (std::size_t i = 0; i < n; ++i) {
     if (i + dist < n) {
       const FlatIndex& ahead = data.shards[shard_of[i + dist]].primary;
       if (!ahead.slots.empty() &&
-          (!filter || BloomMayContain(ahead.bloom, hashes[i + dist]))) {
+          BloomMayContain(ahead.bloom, hashes[i + dist])) {
         const std::size_t home = hashes[i + dist] & (ahead.slots.size() - 1);
         PrefetchRead(ahead.tags.data() + home);
         PrefetchRead(ahead.slots.data() + home);
@@ -1039,7 +911,7 @@ void Database::ProbeManySharded(
       out[i] = {};
       continue;
     }
-    if (filter && !BloomMayContain(idx.bloom, hashes[i])) {
+    if (!BloomMayContain(idx.bloom, hashes[i])) {
       ++c.filter_skips;
       out[i] = {};
       continue;
@@ -1058,7 +930,7 @@ void Database::ProbeManySharded(
 void Database::Reshard(int shards) {
   QCONT_CHECK_MSG(shards >= 1 && shards <= kMaxShards,
                   "Reshard: shard count out of range");
-  if (layout_ != DatabaseLayout::kFlat || shards == shard_count_) return;
+  if (shards == shard_count_) return;
   BumpEpoch();
   const auto P = static_cast<std::uint32_t>(shards);
   for (RelationData& data : rels_) {
@@ -1111,21 +983,9 @@ void Database::Reshard(int shards) {
       LocalProbeCounters ignored;  // rebuild scans are not probe signal
       const std::size_t slot_i =
           FindSlot(idx, key, packs[r], hashes[r], &ignored);
-      FlatIndex::Slot& slot = idx.slots[slot_i];
-      QCONT_CHECK(slot.key == 0);  // rows are unique by construction
-      if (idx.key_width <= 2) {
-        slot.key = packs[r];
-      } else {
-        const std::uint64_t off = idx.wide_keys.size() / idx.key_width;
-        idx.wide_keys.insert(idx.wide_keys.end(), key.begin(), key.end());
-        slot.key = off + 1;
-      }
-      SetTagAt(idx.tags, idx.slots.size(), slot_i, TagOf(hashes[r]));
-      BloomAdd(idx.bloom, hashes[r]);
-      ++idx.used;
-      slot.start = static_cast<std::uint32_t>(idx.postings.size());
-      slot.len = 1;
-      idx.postings.push_back(static_cast<std::uint32_t>(r));
+      QCONT_CHECK(idx.slots[slot_i].key == 0);  // rows are unique
+      ClaimPrimarySlot(&idx, slot_i, key, packs[r], hashes[r],
+                       static_cast<std::uint32_t>(r));
       if (P > 1) {
         new_dir.push_back(
             {route[r], static_cast<std::uint32_t>(idx.postings.size() - 1)});
@@ -1149,10 +1009,6 @@ DatabaseShardStats Database::shard_stats() const {
   std::vector<std::uint64_t> loads(P, 0);
   double max_occ = 0.0;
   for (const RelationData& data : rels_) {
-    if (layout_ != DatabaseLayout::kFlat) {
-      loads[0] += data.num_rows;
-      continue;
-    }
     for (std::size_t i = 0; i < data.shards.size() && i < P; ++i) {
       const FlatIndex& idx = data.shards[i].primary;
       loads[i] += idx.postings.size();
@@ -1173,13 +1029,6 @@ DatabaseShardStats Database::shard_stats() const {
   }
   s.max_occupancy_pct = max_occ;
   return s;
-}
-
-void Database::set_probe_options(const ProbeOptions& options) {
-  ProbeOptions clamped = options;
-  clamped.max_load_percent = std::clamp(clamped.max_load_percent, 40, 90);
-  clamped.group_width = clamped.group_width <= 8 ? 8 : 16;
-  probe_options_ = clamped;
 }
 
 const std::vector<std::string>& Database::Relations() const {
@@ -1222,8 +1071,8 @@ std::string Database::ToString() const {
   return out;
 }
 
-Database CanonicalDatabase(const ConjunctiveQuery& cq, DatabaseLayout layout) {
-  Database db(layout);
+Database CanonicalDatabase(const ConjunctiveQuery& cq) {
+  Database db;
   for (const Atom& a : cq.atoms()) {
     Tuple t;
     t.reserve(a.arity());

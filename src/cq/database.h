@@ -40,36 +40,6 @@ inline constexpr ValueId kNoValue = Interner::kMissing;
 using RelationId = SymbolId;
 inline constexpr RelationId kNoRelation = Interner::kMissing;
 
-/// Storage layout of a Database. `kFlat` (the default) stores each
-/// relation's rows in hash-sharded contiguous ValueId arenas with arity
-/// stride and probes through open-addressing tables; `kLegacy` is the
-/// original nested-vector + unordered_map layout, kept reachable as a
-/// differential reference (mirroring the `use_index=false` pattern of the
-/// search engine).
-enum class DatabaseLayout { kFlat, kLegacy };
-
-/// Tuning knobs of the flat probe tables (DESIGN.md §16). Set per database
-/// via `Database::set_probe_options` before the first probe; the benches
-/// sweep them (`bench_probe_kernel`, E2/E9 knob rows). Every setting is a
-/// pure performance knob: probe *results* are bit-identical across the
-/// whole grid (and across the SIMD/scalar kernel builds).
-struct ProbeOptions {
-  /// Probe-table growth threshold: grow when occupied slots exceed this
-  /// percentage of capacity. Clamped to [40, 90]. With shards, the bound
-  /// applies per shard table.
-  int max_load_percent = 75;
-  /// Tag probe-group width in slots: 16 (one SSE2/NEON vector compare per
-  /// group) or 8 (one 64-bit SWAR compare). Values other than 8 become 16.
-  int group_width = 16;
-  /// Consult the per-(relation, mask) Bloom filters on lookups: a probe
-  /// whose key hash misses the filter is answered "empty" without touching
-  /// the slot array (the semi-naive delta joins' guaranteed-miss skip).
-  bool use_filters = true;
-  /// ProbeMany lookahead: while key i resolves, the tag group and slot of
-  /// key i+distance are software-prefetched. 0 disables the prefetch stage.
-  int prefetch_distance = 8;
-};
-
 /// Counters for the per-relation hash indexes (benchmark signal). Obtained
 /// as a snapshot via `Database::index_stats()`; the registry mirror
 /// (`db.*` gauges) is published from such snapshots by the engines/CLI,
@@ -83,7 +53,7 @@ struct ProbeOptions {
 /// accounted separately (`tag_hits`/`tag_skips`/`probe_collisions`), and
 /// lookups short-circuited by the Bloom filter still count as probes, with
 /// the skip recorded in `filter_skips`. All counters are deterministic for
-/// a given (database, probe sequence, ProbeOptions, shard count) and
+/// a given (database, probe sequence, shard count) and
 /// identical between the SIMD and scalar kernel builds and for every
 /// thread count. (Shard count is part of the key: resharding redistributes
 /// rows over per-shard tables and Bloom filters, so the micro-counters —
@@ -100,21 +70,18 @@ struct DatabaseIndexStats {
   /// times). Monotonic per database.
   std::uint64_t rows_indexed = 0;
   /// Full key compares that failed during lookups — tag false positives
-  /// plus genuine probe-chain walks (flat layout only; legacy indexes
-  /// report 0). Monotonic.
+  /// plus genuine probe-chain walks. Monotonic.
   std::uint64_t probe_collisions = 0;
-  /// Probe-table capacity rehashes (flat layout only). Monotonic.
+  /// Probe-table capacity rehashes. Monotonic.
   std::uint64_t probe_resizes = 0;
   /// Slots whose tag matched the key's tag and were full-key compared
-  /// during lookups (flat layout only). Monotonic.
+  /// during lookups. Monotonic.
   std::uint64_t tag_hits = 0;
   /// Occupied slots the tag filter rejected without a full key compare
-  /// during lookups — the compares the PR 5 kernel would have run (flat
-  /// layout only). Monotonic.
+  /// during lookups. Monotonic.
   std::uint64_t tag_skips = 0;
   /// Lookups answered "empty" by the per-(relation, mask) Bloom filter
-  /// without touching the slot array (flat layout, filters enabled).
-  /// Monotonic.
+  /// without touching the slot array. Monotonic.
   std::uint64_t filter_skips = 0;
   /// ProbeMany key blocks resolved through the staged pipeline (hash all →
   /// prefetch → resolve in order). Monotonic.
@@ -139,7 +106,7 @@ struct DatabaseShardStats {
   double imbalance_pct = 0.0;
   /// Highest occupancy (used/capacity, percent) over every per-shard
   /// primary probe table — how close the fullest table is to its next
-  /// growth rebuild (ProbeOptions::max_load_percent).
+  /// growth rebuild (at the fixed 75% load factor, DESIGN.md §16).
   double max_occupancy_pct = 0.0;
 };
 
@@ -153,7 +120,7 @@ struct DatabaseShardStats {
 /// should share one pool via the `Database(pool)` constructor so that value
 /// and relation ids are comparable across them.
 ///
-/// ## Flat layout
+/// ## Storage layout
 ///
 /// A relation's rows live in contiguous ValueId arenas with arity stride,
 /// and every row of a relation has the same arity (checked). The arenas —
@@ -182,7 +149,7 @@ struct DatabaseShardStats {
 /// group compare per 16 slots and a per-table Bloom filter answering
 /// guaranteed misses before the slots are touched — a probe is hash →
 /// filter word → tag group → postings slice with no allocation (see
-/// ProbeOptions and DESIGN.md §16).
+/// DESIGN.md §16 for the fixed kernel constants).
 ///
 /// ## Thread safety
 ///
@@ -204,19 +171,15 @@ struct DatabaseShardStats {
 /// of the call and fans its shard-local work out itself.
 class Database {
  public:
-  explicit Database(DatabaseLayout layout = DatabaseLayout::kFlat)
-      : pool_(std::make_shared<Interner>()), layout_(layout) {}
-  explicit Database(std::shared_ptr<Interner> pool,
-                    DatabaseLayout layout = DatabaseLayout::kFlat)
-      : pool_(std::move(pool)), layout_(layout) {}
+  Database() : pool_(std::make_shared<Interner>()) {}
+  explicit Database(std::shared_ptr<Interner> pool) : pool_(std::move(pool)) {}
 
   /// The value pool; share it across databases that will be joined together.
   const std::shared_ptr<Interner>& pool() const { return pool_; }
 
-  DatabaseLayout layout() const { return layout_; }
-
-  /// Adds a fact; duplicate facts are ignored. Returns true if new. In the
-  /// flat layout every fact of a relation must have the same arity.
+  /// Adds a fact; duplicate facts are ignored. Returns true if new. Every
+  /// fact of a relation must have the same arity (checked; the parser
+  /// rejects mixed-arity input before it gets here).
   bool AddFact(const std::string& relation, Tuple tuple);
 
   /// Adds a fact given as pool ids: `rel` must be the pool id of the
@@ -252,8 +215,8 @@ class Database {
   bool HasFact(const std::string& relation, const Tuple& tuple) const;
 
   /// Row-level membership: true iff `row` is a fact of `rel`. Served by
-  /// the owning shard's eagerly maintained full-row table in the flat
-  /// layout (no lock, no allocation).
+  /// the owning shard's eagerly maintained full-row table (no lock, no
+  /// allocation).
   bool HasRow(RelationId rel, std::span<const ValueId> row) const;
 
   /// Tuples of `relation` (empty if the relation has no facts).
@@ -276,27 +239,25 @@ class Database {
   /// Number of rows of `rel` (0 if absent or never given a fact here).
   std::size_t NumRows(RelationId rel) const;
 
-  /// Arity of `rel` (0 if absent). In the legacy layout: arity of the first
-  /// row.
+  /// Arity of `rel` (0 if absent).
   std::size_t Arity(RelationId rel) const;
 
   /// Row `r` of `rel` as a ValueId slice into its shard's arena.
   /// `r < NumRows(rel)`.
   std::span<const ValueId> Row(RelationId rel, std::size_t r) const;
 
-  /// The whole row arena of `rel` when it is one contiguous block — flat
-  /// layout with `shard_count() == 1` — so hot loops can slice rows
-  /// without a per-row relation lookup: row i is the slice [i*Arity(rel),
-  /// (i+1)*Arity(rel)). Empty in the legacy layout and for sharded
-  /// relations (P > 1 splits the rows over per-shard arenas — use `Rows()`
-  /// for a view that resolves either shape). Stays valid until the next
-  /// AddFact.
+  /// The whole row arena of `rel` when it is one contiguous block —
+  /// `shard_count() == 1` — so hot loops can slice rows without a per-row
+  /// relation lookup: row i is the slice [i*Arity(rel), (i+1)*Arity(rel)).
+  /// Empty for sharded relations (P > 1 splits the rows over per-shard
+  /// arenas — use `Rows()` for a view that resolves either shape). Stays
+  /// valid until the next AddFact.
   std::span<const ValueId> Arena(RelationId rel) const;
 
   /// Resolved row accessor for hot loops: one relation lookup up front,
-  /// then O(1) row pointers for any layout — contiguous arena (P == 1),
-  /// per-shard arenas via the global→(shard, local) directory (P > 1), or
-  /// the legacy nested vectors. Valid until the next mutation.
+  /// then O(1) row pointers for either shape — contiguous arena (P == 1)
+  /// or per-shard arenas via the global→(shard, local) directory (P > 1).
+  /// Valid until the next mutation.
   class RowView {
    public:
     RowView() = default;
@@ -308,9 +269,9 @@ class Database {
    private:
     friend class Database;
     const ValueId* base_ = nullptr;  // mode 1: arena base of shard 0
-    const void* data_ = nullptr;     // modes 2/3: RelationData
-    std::size_t arity_ = 0;          // row stride (modes 1/2)
-    int mode_ = 0;  // 0 empty, 1 contiguous, 2 sharded, 3 legacy
+    const void* data_ = nullptr;     // mode 2: RelationData
+    std::size_t arity_ = 0;          // row stride
+    int mode_ = 0;  // 0 empty, 1 contiguous, 2 sharded
   };
   RowView Rows(RelationId rel) const;
 
@@ -337,30 +298,20 @@ class Database {
 
   /// Batched probe: `out.size()` keys laid out consecutively in `keys`
   /// (`popcount(mask)` values each); `out[i]` receives the bucket of key i,
-  /// exactly as `Probe(rel, mask, key_i)` would return it. In the flat
-  /// layout the block runs as a staged pipeline: hash every key (answering
-  /// Bloom-filter misses immediately), then resolve in key order with the
-  /// tag group and slot of the key `prefetch_distance` ahead
-  /// software-prefetched, so slot cache lines are in flight before the
-  /// resolving pass needs them. Fully-bound probes of a sharded relation
-  /// route each key to its owning shard's table inside the same pipeline
-  /// (the key's hash both picks the shard and probes its table, so
-  /// sharding adds no extra hashing).
+  /// exactly as `Probe(rel, mask, key_i)` would return it. The block runs
+  /// as a staged pipeline: hash every key (answering Bloom-filter misses
+  /// immediately), then resolve in key order with the tag group and slot
+  /// of the key a fixed distance (8) ahead software-prefetched, so slot
+  /// cache lines are in flight before the resolving pass needs them.
+  /// Fully-bound probes of a sharded relation route each key to its owning
+  /// shard's table inside the same pipeline (the key's hash both picks the
+  /// shard and probes its table, so sharding adds no extra hashing).
   void ProbeMany(RelationId rel, std::uint32_t mask,
                  std::span<const ValueId> keys,
                  std::span<std::span<const std::uint32_t>> out) const;
 
-  /// Installs probe-table tuning knobs (load factor, tag group width,
-  /// Bloom filters, prefetch distance). Call before probing: the load
-  /// factor applies to tables built or grown afterwards, the rest apply
-  /// per lookup. Not synchronized — set it while no other thread probes,
-  /// like `set_obs`. Copied along with the database.
-  void set_probe_options(const ProbeOptions& options);
-  const ProbeOptions& probe_options() const { return probe_options_; }
-
   /// Repartitions every relation's arena and primary probe table into
-  /// `shards` hash-shards (flat layout; the legacy layout has no shards
-  /// and stays at 1). Global row indices, `Facts` order, the active
+  /// `shards` hash-shards. Global row indices, `Facts` order, the active
   /// domain, the lazy secondary indexes (global postings), and every
   /// counter are unchanged — only the physical placement of rows moves,
   /// so answers are bit-identical before and after. O(total rows). The
@@ -453,7 +404,7 @@ class Database {
   std::string ToString() const;
 
  private:
-  // One open-addressing probe table (flat layout). Slots hold a nonzero
+  // One open-addressing probe table. Slots hold a nonzero
   // 64-bit key — the +1-packed values for key widths ≤ 2, or 1 + an index
   // into `wide_keys` otherwise — plus a (start, len) slice of the shared
   // `postings` arena listing the matching global row indices in row order.
@@ -490,7 +441,7 @@ class Database {
                                    // shard-local count for primaries)
   };
 
-  // One hash-shard of a relation (flat layout): the shard's slice of the
+  // One hash-shard of a relation: the shard's slice of the
   // row arena plus its full-row primary table. A row's shard is
   // ShardOf(HashKey(row), shard_count_) — see base/shard.h for the
   // routing contract. Shard membership is a physical property only:
@@ -508,32 +459,18 @@ class Database {
     std::uint32_t local = 0;
   };
 
-  // One lazily built hash index of the legacy layout: rows keyed by their
-  // values at the masked positions.
-  struct RelIndex {
-    std::unordered_map<std::vector<ValueId>, std::vector<std::uint32_t>,
-                       VectorHash<ValueId>>
-        buckets;
-    std::size_t rows_indexed = 0;
-  };
-
   struct RelationData {
     std::string name;
     RelationId id = kNoRelation;
     std::size_t arity = 0;
     std::size_t num_rows = 0;
     std::vector<Tuple> tuples;
-    // Flat layout: the hash-sharded arenas + primary tables (size =
-    // shard_count_ once the first row arrives), the global→(shard, local)
-    // row directory (P > 1 only), and the relation-global lazy per-mask
-    // probe tables.
+    // The hash-sharded arenas + primary tables (size = shard_count_), the
+    // global→(shard, local) row directory (P > 1 only), and the
+    // relation-global lazy per-mask probe tables.
     std::vector<RelShard> shards;
     std::vector<RowRef> row_dir;
     mutable std::unordered_map<std::uint32_t, FlatIndex> flat_indexes;
-    // Legacy layout: nested rows + hash-set dedup + unordered_map indexes.
-    std::vector<std::vector<ValueId>> rows;  // parallel to `tuples`
-    std::unordered_set<std::vector<ValueId>, VectorHash<ValueId>> set;
-    mutable std::unordered_map<std::uint32_t, RelIndex> indexes;
   };
 
   // Guards the mutable memoized state reachable from const methods (lazy
@@ -648,6 +585,18 @@ class Database {
   void EnsureFlatCapacity(FlatIndex* idx, std::size_t keys) const;
   std::size_t InsertSlot(FlatIndex* idx, std::span<const ValueId> key,
                          std::uint64_t packed) const;
+  static void ClaimSlot(FlatIndex* idx, std::size_t i,
+                        std::span<const ValueId> key, std::uint64_t packed,
+                        std::uint64_t h);
+  static void ClaimPrimarySlot(FlatIndex* idx, std::size_t i,
+                               std::span<const ValueId> key,
+                               std::uint64_t packed, std::uint64_t h,
+                               std::uint32_t row);
+  // DedupSlot's "row already present" answer.
+  static constexpr std::size_t kDuplicateRow = ~std::size_t{0};
+  std::size_t DedupSlot(const FlatIndex& idx, std::span<const ValueId> key,
+                        std::uint64_t packed, std::uint64_t h,
+                        LocalProbeCounters* c) const;
   void CatchUpFlat(const RelationData& data, std::uint32_t mask,
                    FlatIndex* idx) const;
   const FlatIndex* EnsureFlatIndex(const RelationData& data,
@@ -671,13 +620,7 @@ class Database {
                         std::span<const ValueId> keys, std::uint32_t w,
                         std::span<std::span<const std::uint32_t>> out) const;
 
-  // Legacy probe path (the original unordered_map implementation).
-  std::span<const std::uint32_t> ProbeLegacy(const RelationData& data,
-                                             std::uint32_t mask,
-                                             std::span<const ValueId> key) const;
-
   std::shared_ptr<Interner> pool_;
-  DatabaseLayout layout_;
   int shard_count_ = 1;                    // P; see Reshard / base/shard.h
   std::deque<RelationData> rels_;          // stable refs; first-fact order
   std::vector<std::int32_t> rel_slot_;     // pool id -> index in rels_, or -1
@@ -691,7 +634,6 @@ class Database {
   mutable CopyableAtomicU64 memo_exclusive_locks_;
   CopyableAtomicU64 mutation_epoch_;
   mutable UncopiedMutex memo_mu_;
-  ProbeOptions probe_options_;  // validated by set_probe_options
   const ObsContext* obs_ = nullptr;  // borrowed; see set_obs
   std::size_t num_facts_ = 0;
 };
@@ -706,8 +648,6 @@ inline const ValueId* Database::RowView::operator[](std::uint32_t r) const {
       return data->shards[ref.shard].arena.data() +
              static_cast<std::size_t>(ref.local) * arity_;
     }
-    case 3:  // legacy nested vectors
-      return static_cast<const Database::RelationData*>(data_)->rows[r].data();
     default:  // empty relation: no row to point at
       return nullptr;
   }
@@ -715,8 +655,7 @@ inline const ValueId* Database::RowView::operator[](std::uint32_t r) const {
 
 /// The canonical database D_theta of a CQ: one fact per atom, with each
 /// variable frozen to a value named after it. Constants keep their name.
-Database CanonicalDatabase(const ConjunctiveQuery& cq,
-                           DatabaseLayout layout = DatabaseLayout::kFlat);
+Database CanonicalDatabase(const ConjunctiveQuery& cq);
 
 /// The tuple of frozen head variables of `cq` (the tuple to look for in the
 /// Chandra-Merlin containment test).

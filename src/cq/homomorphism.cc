@@ -124,8 +124,8 @@ struct ScanSearcher {
 // Indexed engine: interned value ids, per-relation probe tables on the
 // bound-position subset, and dynamic atom selection by estimated candidate
 // count. All databases must share one value pool. Candidate rows are read
-// as slices of the relation's flat arena (per-row fallback for the legacy
-// layout); probe keys live in a stack buffer, so an atom expansion does
+// as slices of the relation's arena (per-row fallback for sharded
+// relations); probe keys live in a stack buffer, so an atom expansion does
 // not allocate.
 // ---------------------------------------------------------------------------
 struct IndexedSearcher {
@@ -141,7 +141,7 @@ struct IndexedSearcher {
     RelationId rel;  // pool id of the predicate; kNoRelation matches nothing
     std::size_t num_rows;               // frozen-region snapshot
     std::size_t arity;                  // of the stored relation (0 if absent)
-    std::span<const ValueId> arena;     // flat layout only; empty otherwise
+    std::span<const ValueId> arena;     // unsharded only; empty if sharded
     std::vector<Slot> slots;
   };
 
@@ -249,8 +249,8 @@ struct IndexedSearcher {
     return c;
   }
 
-  // Row `r` of the atom's relation: an arena slice in the flat layout, the
-  // per-row accessor otherwise.
+  // Row `r` of the atom's relation: an arena slice when the relation is
+  // unsharded, the per-row accessor otherwise.
   std::span<const ValueId> RowOf(const AtomInfo& atom, std::uint32_t r) const {
     if (!atom.arena.empty() || atom.arity == 0) {
       return atom.arena.subspan(static_cast<std::size_t>(r) * atom.arity,

@@ -154,8 +154,8 @@ void BlockJoinPlan::Execute(const Database& all, const Database& delta,
     Execute(all, arena, delta_arity_, block_rows, out_rows, num_rows, stats);
     return;
   }
-  // Legacy layout keeps one vector per row; flatten a temporary copy so
-  // the core loop has one shape.
+  // A sharded delta spreads its rows over per-shard arenas; flatten a
+  // temporary copy so the core loop has one shape.
   std::vector<ValueId> flat;
   flat.reserve(dn * delta_arity_);
   for (std::size_t r = 0; r < dn; ++r) {

@@ -318,15 +318,28 @@ Result<Database> EvaluateProgramImpl(const DatalogProgram& program,
                                      const EvalOptions& options,
                                      DatalogEvalStats* stats) {
   QCONT_RETURN_IF_ERROR(program.Validate());
+  // Derived facts join the database's relations, each of which holds one
+  // arity: an intensional predicate the database stores at another arity
+  // is a malformed input, rejected before any fact is derived.
+  for (const RelationId rel : edb.RelationIds()) {
+    const std::string& name = edb.pool()->NameOf(rel);
+    if (edb.NumRows(rel) == 0 || !program.IsIntensional(name)) continue;
+    const int arity = program.ArityOf(name);
+    if (arity != static_cast<int>(edb.Arity(rel))) {
+      return InvalidArgumentError(
+          "predicate '" + name + "' has arity " + std::to_string(arity) +
+          " in the program but " + std::to_string(edb.Arity(rel)) +
+          " in the database");
+    }
+  }
   ObsSpan eval_span(options.obs, "datalog/eval", "datalog");
   eval_span.AddArg("rules", program.rules().size());
   Database all = edb;
   all.set_obs(options.obs);
-  all.set_probe_options(options.probe);
   // Physical-only layout change: partition every relation into
   // options.shards hash-shards so the round-barrier merge can claim rows
   // shard-parallel. Answers and engine counters do not depend on it.
-  if (options.shards > 1 && all.layout() == DatabaseLayout::kFlat) {
+  if (options.shards > 1) {
     all.Reshard(std::min(options.shards, kMaxShards));
   }
   const std::vector<CompiledRule> compiled = CompileRules(program, all);
@@ -355,13 +368,11 @@ Result<Database> EvaluateProgramImpl(const DatalogProgram& program,
 
   // Semi-naive: round 0 fires all rules on the EDB; later rounds require at
   // least one body atom to match the previous round's delta. The deltas
-  // share `all`'s value pool (and layout, so differential runs exercise one
-  // layout end to end), so the indexed join spans both databases. Round 0
-  // stays serial: like the naive rounds, each rule sees the facts added by
-  // the rules before it.
-  Database delta(all.pool(), all.layout());
+  // share `all`'s value pool, so the indexed join spans both databases.
+  // Round 0 stays serial: like the naive rounds, each rule sees the facts
+  // added by the rules before it.
+  Database delta(all.pool());
   delta.set_obs(options.obs);
-  delta.set_probe_options(options.probe);
   {
     ObsSpan round_span(options.obs, "datalog/round", "datalog");
     round_span.AddArg("round", round++);
@@ -405,9 +416,8 @@ Result<Database> EvaluateProgramImpl(const DatalogProgram& program,
     ObsSpan round_span(options.obs, "datalog/round", "datalog");
     round_span.AddArg("round", round++);
     if (stats != nullptr) ++stats->iterations;
-    Database next_delta(all.pool(), all.layout());
+    Database next_delta(all.pool());
     next_delta.set_obs(options.obs);
-    next_delta.set_probe_options(options.probe);
     // The (rule, delta position) joins of a round are independent: they
     // only read `all` and `delta`, which are frozen until the barrier. Each
     // runs as its own pool task into a private FiredRule; the buffers are

@@ -94,12 +94,8 @@ struct EvalOptions {
   /// the probe micro-counters move, see DatabaseIndexStats). Deliberately
   /// an explicit knob — never derived from `exec.threads` — so the
   /// determinism suites can sweep threads and shards independently.
-  /// Clamped to [1, kMaxShards]; ignored by the legacy layout.
+  /// Clamped to [1, kMaxShards].
   int shards = 1;
-  /// Probe-kernel knobs applied to the working databases (the EDB copy,
-  /// and each round's delta) before evaluation: table load factor, probe
-  /// group width, Bloom-filter gating, prefetch distance.
-  ProbeOptions probe;
   /// Optional observability sinks, borrowed from the caller. Each
   /// EvaluateProgram run emits `datalog/eval`, `datalog/round`,
   /// `datalog/delta_join` and `datalog/shard_merge` spans plus

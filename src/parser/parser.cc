@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <optional>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace qcont {
@@ -374,12 +376,23 @@ Result<UC2rpq> ParseUC2rpq(const std::string& text, SourceLines* lines) {
 Result<Database> ParseDatabase(const std::string& text) {
   QCONT_ASSIGN_OR_RETURN(RuleParser parser, ParseRules(text));
   Database db;
+  // Every fact of a relation must have one arity (Database::AddFact checks
+  // it as an invariant); reject mixed-arity input here as a user error.
+  std::unordered_map<std::string, std::size_t> arities;
   for (const SurfaceRule& sr : parser.rules()) {
     if (!sr.body.empty()) {
       return InvalidArgumentError("database facts cannot have bodies (line " +
                                   std::to_string(sr.line) + ")");
     }
     QCONT_ASSIGN_OR_RETURN(Atom atom, ToRelationalAtom(sr.head, sr.line));
+    const auto [it, first] = arities.emplace(atom.predicate(), atom.arity());
+    if (!first && it->second != atom.arity()) {
+      return InvalidArgumentError(
+          "predicate '" + atom.predicate() +
+          "' used with inconsistent arities (" + std::to_string(atom.arity()) +
+          " here, " + std::to_string(it->second) + " before) (line " +
+          std::to_string(sr.line) + ")");
+    }
     Tuple t;
     for (const Term& term : atom.terms()) {
       t.push_back(term.name());

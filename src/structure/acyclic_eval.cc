@@ -55,7 +55,7 @@ struct CompiledAcyclic {
 struct AtomState {
   const CompiledAtom* ca = nullptr;
   const Database* db = nullptr;
-  std::span<const ValueId> arena;  // flat layout; empty otherwise
+  std::span<const ValueId> arena;  // unsharded relation; empty if sharded
   std::vector<std::uint32_t> rows;
 
   ValueId At(std::uint32_t r, int pos) const {
@@ -150,9 +150,9 @@ Result<CompiledAcyclic> Compile(const ConjunctiveQuery& cq,
 // unifying with the atom under `fixed` (constants and repeated variables
 // checked here). The positions bound by constants or fixed variables are
 // served through the relation's probe table instead of a full scan.
+// `stats` is the call's run-local accumulator (never null).
 AtomState BuildAtomState(const CompiledAtom& ca, const Database& db,
-                         const FixedIds& fixed, YannakakisStats* stats,
-                         const ObsContext* obs) {
+                         const FixedIds& fixed, YannakakisStats* stats) {
   AtomState st;
   st.ca = &ca;
   st.db = &db;
@@ -195,8 +195,7 @@ AtomState BuildAtomState(const CompiledAtom& ca, const Database& db,
   if (mask != 0) {
     bucket = db.Probe(ca.rel, mask, std::span<const ValueId>(key_buf, key_len));
     indexed = true;
-    if (stats != nullptr) ++stats->index_probes;
-    ObsCount(obs, "yannakakis.index_probes", 1);
+    ++stats->index_probes;
   }
   auto try_row = [&](std::uint32_t r) {
     std::span<const ValueId> row =
@@ -226,14 +225,9 @@ AtomState BuildAtomState(const CompiledAtom& ca, const Database& db,
 // fall back to vector keys.
 void Semijoin(AtomState* target, const AtomState& source,
               const std::vector<std::pair<int, int>>& shared,
-              YannakakisStats* stats, const ObsContext* obs) {
-  if (stats != nullptr) {
-    ++stats->semijoins;
-    stats->tuples_scanned += target->rows.size() + source.rows.size();
-  }
-  ObsCount(obs, "yannakakis.semijoins", 1);
-  ObsCount(obs, "yannakakis.tuples_scanned",
-           target->rows.size() + source.rows.size());
+              YannakakisStats* stats) {
+  ++stats->semijoins;
+  stats->tuples_scanned += target->rows.size() + source.rows.size();
   if (shared.empty()) {
     // No shared variables: the semijoin only empties target if source is
     // empty (no supporting tuple at all).
@@ -292,12 +286,12 @@ bool SatisfiableCompiled(const CompiledAcyclic& c, const Database& db,
   std::vector<AtomState> states;
   states.reserve(c.atoms.size());
   for (const CompiledAtom& ca : c.atoms) {
-    states.push_back(BuildAtomState(ca, db, fixed, stats, obs));
+    states.push_back(BuildAtomState(ca, db, fixed, stats));
   }
   for (int v : c.post_order) {
     const int p = c.jt.parent[v];
     if (p >= 0) {
-      Semijoin(&states[p], states[v], c.edges[v], stats, obs);
+      Semijoin(&states[p], states[v], c.edges[v], stats);
     } else if (states[v].rows.empty()) {
       return false;
     }
@@ -305,11 +299,11 @@ bool SatisfiableCompiled(const CompiledAcyclic& c, const Database& db,
   return true;
 }
 
-}  // namespace
-
-Result<bool> AcyclicSatisfiable(const ConjunctiveQuery& cq, const Database& db,
-                                const Assignment& fixed, YannakakisStats* stats,
-                                const ObsContext* obs) {
+Result<bool> AcyclicSatisfiableImpl(const ConjunctiveQuery& cq,
+                                    const Database& db,
+                                    const Assignment& fixed,
+                                    YannakakisStats* stats,
+                                    const ObsContext* obs) {
   if (cq.atoms().empty()) return true;
   QCONT_ASSIGN_OR_RETURN(CompiledAcyclic compiled, Compile(cq, db));
   FixedIds fixed_ids;
@@ -320,16 +314,16 @@ Result<bool> AcyclicSatisfiable(const ConjunctiveQuery& cq, const Database& db,
   return SatisfiableCompiled(compiled, db, fixed_ids, stats, obs);
 }
 
-Result<std::vector<Tuple>> EvaluateAcyclicCq(const ConjunctiveQuery& cq,
-                                             const Database& db,
-                                             YannakakisStats* stats,
-                                             const ObsContext* obs) {
+Result<std::vector<Tuple>> EvaluateAcyclicCqImpl(const ConjunctiveQuery& cq,
+                                                 const Database& db,
+                                                 YannakakisStats* stats,
+                                                 const ObsContext* obs) {
   if (cq.atoms().empty()) {
     return std::vector<Tuple>{Tuple{}};
   }
   if (cq.IsBoolean()) {
     QCONT_ASSIGN_OR_RETURN(bool sat,
-                           AcyclicSatisfiable(cq, db, {}, stats, obs));
+                           AcyclicSatisfiableImpl(cq, db, {}, stats, obs));
     return sat ? std::vector<Tuple>{Tuple{}} : std::vector<Tuple>{};
   }
   QCONT_ASSIGN_OR_RETURN(CompiledAcyclic compiled, Compile(cq, db));
@@ -351,7 +345,7 @@ Result<std::vector<Tuple>> EvaluateAcyclicCq(const ConjunctiveQuery& cq,
   std::unordered_map<std::string, std::set<ValueId>> candidates;
   const FixedIds no_fixed;
   for (const CompiledAtom& ca : compiled.atoms) {
-    AtomState st = BuildAtomState(ca, db, no_fixed, stats, obs);
+    AtomState st = BuildAtomState(ca, db, no_fixed, stats);
     for (std::size_t i = 0; i < ca.vars.size(); ++i) {
       if (std::find(head_vars.begin(), head_vars.end(), ca.vars[i]) ==
           head_vars.end()) {
@@ -395,10 +389,10 @@ Result<std::vector<Tuple>> EvaluateAcyclicCq(const ConjunctiveQuery& cq,
   return std::vector<Tuple>(results.begin(), results.end());
 }
 
-Result<bool> CqContainedAcyclicRhs(const ConjunctiveQuery& theta,
-                                   const ConjunctiveQuery& theta_prime,
-                                   YannakakisStats* stats,
-                                   const ObsContext* obs) {
+Result<bool> CqContainedAcyclicRhsImpl(const ConjunctiveQuery& theta,
+                                       const ConjunctiveQuery& theta_prime,
+                                       YannakakisStats* stats,
+                                       const ObsContext* obs) {
   QCONT_RETURN_IF_ERROR(theta.Validate());
   QCONT_RETURN_IF_ERROR(theta_prime.Validate());
   if (theta.arity() != theta_prime.arity()) {
@@ -417,20 +411,20 @@ Result<bool> CqContainedAcyclicRhs(const ConjunctiveQuery& theta,
       fixed.emplace(var, frozen[i]);
     }
   }
-  return AcyclicSatisfiable(theta_prime, canonical, fixed, stats, obs);
+  return AcyclicSatisfiableImpl(theta_prime, canonical, fixed, stats, obs);
 }
 
-Result<bool> UcqContainedAcyclicRhs(const UnionQuery& theta,
-                                    const UnionQuery& theta_prime,
-                                    YannakakisStats* stats,
-                                    const ObsContext* obs) {
+Result<bool> UcqContainedAcyclicRhsImpl(const UnionQuery& theta,
+                                        const UnionQuery& theta_prime,
+                                        YannakakisStats* stats,
+                                        const ObsContext* obs) {
   QCONT_RETURN_IF_ERROR(theta.Validate());
   QCONT_RETURN_IF_ERROR(theta_prime.Validate());
   for (const ConjunctiveQuery& disjunct : theta.disjuncts()) {
     bool contained = false;
     for (const ConjunctiveQuery& rhs : theta_prime.disjuncts()) {
       QCONT_ASSIGN_OR_RETURN(
-          bool c, CqContainedAcyclicRhs(disjunct, rhs, stats, obs));
+          bool c, CqContainedAcyclicRhsImpl(disjunct, rhs, stats, obs));
       if (c) {
         contained = true;
         break;
@@ -439,6 +433,69 @@ Result<bool> UcqContainedAcyclicRhs(const UnionQuery& theta,
     if (!contained) return false;
   }
   return true;
+}
+
+// Publish funnel: the engine bumps only the run-local `YannakakisStats`
+// (index probes are counted per probe, far too hot for registry writes);
+// each public entry point adds the run's totals to the caller's sink and
+// publishes them to the registry once, errors included. A counter name is
+// registered exactly when the run touched it, as a per-site write would.
+template <typename Body>
+auto CountedRun(YannakakisStats* stats, const ObsContext* obs, Body body) {
+  YannakakisStats run;
+  auto result = body(&run);
+  if (stats != nullptr) {
+    stats->semijoins += run.semijoins;
+    stats->tuples_scanned += run.tuples_scanned;
+    stats->index_probes += run.index_probes;
+  }
+  if (MetricRegistry* metrics = ObsMetrics(obs)) {
+    if (run.semijoins != 0) {
+      metrics->Add("yannakakis.semijoins", run.semijoins);
+      metrics->Add("yannakakis.tuples_scanned", run.tuples_scanned);
+    }
+    if (run.index_probes != 0) {
+      metrics->Add("yannakakis.index_probes", run.index_probes);
+    }
+  }
+  return result;
+}
+
+}  // namespace
+
+Result<bool> AcyclicSatisfiable(const ConjunctiveQuery& cq, const Database& db,
+                                const Assignment& fixed, YannakakisStats* stats,
+                                const ObsContext* obs) {
+  return CountedRun(stats, obs, [&](YannakakisStats* run) {
+    return AcyclicSatisfiableImpl(cq, db, fixed, run, obs);
+  });
+}
+
+Result<std::vector<Tuple>> EvaluateAcyclicCq(const ConjunctiveQuery& cq,
+                                             const Database& db,
+                                             YannakakisStats* stats,
+                                             const ObsContext* obs) {
+  return CountedRun(stats, obs, [&](YannakakisStats* run) {
+    return EvaluateAcyclicCqImpl(cq, db, run, obs);
+  });
+}
+
+Result<bool> CqContainedAcyclicRhs(const ConjunctiveQuery& theta,
+                                   const ConjunctiveQuery& theta_prime,
+                                   YannakakisStats* stats,
+                                   const ObsContext* obs) {
+  return CountedRun(stats, obs, [&](YannakakisStats* run) {
+    return CqContainedAcyclicRhsImpl(theta, theta_prime, run, obs);
+  });
+}
+
+Result<bool> UcqContainedAcyclicRhs(const UnionQuery& theta,
+                                    const UnionQuery& theta_prime,
+                                    YannakakisStats* stats,
+                                    const ObsContext* obs) {
+  return CountedRun(stats, obs, [&](YannakakisStats* run) {
+    return UcqContainedAcyclicRhsImpl(theta, theta_prime, run, obs);
+  });
 }
 
 }  // namespace qcont

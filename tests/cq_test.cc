@@ -144,78 +144,69 @@ TEST(DatabaseTest, ProbeFindsRowsByBoundPositions) {
 }
 
 TEST(DatabaseTest, RowLevelApiAgreesWithStringApi) {
-  for (DatabaseLayout layout : {DatabaseLayout::kFlat, DatabaseLayout::kLegacy}) {
-    Database db(layout);
-    db.AddFact("E", {"a", "b"});
-    db.AddFact("E", {"b", "c"});
-    const RelationId rel = db.RelationIdOf("E");
-    ASSERT_NE(rel, kNoRelation);
-    EXPECT_EQ(db.NumRows(rel), 2u);
-    EXPECT_EQ(db.Arity(rel), 2u);
-    const ValueId a = db.ValueIdOf("a"), b = db.ValueIdOf("b"),
-                  c = db.ValueIdOf("c");
-    // Row slices mirror the insertion order of the string tuples.
-    EXPECT_EQ(db.Row(rel, 0)[0], a);
-    EXPECT_EQ(db.Row(rel, 0)[1], b);
-    EXPECT_EQ(db.Row(rel, 1)[0], b);
-    EXPECT_TRUE(db.HasRow(rel, std::vector<ValueId>{a, b}));
-    EXPECT_FALSE(db.HasRow(rel, std::vector<ValueId>{b, a}));
-    EXPECT_FALSE(db.HasRow(rel, std::vector<ValueId>{a, kNoValue}));
-    EXPECT_FALSE(db.HasRow(kNoRelation, std::vector<ValueId>{a, b}));
-    // AddRow dedups against AddFact and keeps the string view consistent.
-    EXPECT_FALSE(db.AddRow(rel, std::vector<ValueId>{a, b}));
-    EXPECT_TRUE(db.AddRow(rel, std::vector<ValueId>{c, a}));
-    EXPECT_TRUE(db.HasFact("E", {"c", "a"}));
-    EXPECT_EQ(db.Facts("E").size(), 3u);
-    EXPECT_EQ(db.NumFacts(), 3u);
-    // The arena is the contiguous arity-strided row store (flat only).
-    if (layout == DatabaseLayout::kFlat) {
-      std::span<const ValueId> arena = db.Arena(rel);
-      ASSERT_EQ(arena.size(), 6u);
-      EXPECT_EQ(arena[4], c);
-      EXPECT_EQ(arena.data() + 2, db.Row(rel, 1).data());
-    } else {
-      EXPECT_TRUE(db.Arena(rel).empty());
-    }
-    EXPECT_EQ(db.RelationIds(), (std::vector<RelationId>{rel}));
-  }
+  Database db;
+  db.AddFact("E", {"a", "b"});
+  db.AddFact("E", {"b", "c"});
+  const RelationId rel = db.RelationIdOf("E");
+  ASSERT_NE(rel, kNoRelation);
+  EXPECT_EQ(db.NumRows(rel), 2u);
+  EXPECT_EQ(db.Arity(rel), 2u);
+  const ValueId a = db.ValueIdOf("a"), b = db.ValueIdOf("b"),
+                c = db.ValueIdOf("c");
+  // Row slices mirror the insertion order of the string tuples.
+  EXPECT_EQ(db.Row(rel, 0)[0], a);
+  EXPECT_EQ(db.Row(rel, 0)[1], b);
+  EXPECT_EQ(db.Row(rel, 1)[0], b);
+  EXPECT_TRUE(db.HasRow(rel, std::vector<ValueId>{a, b}));
+  EXPECT_FALSE(db.HasRow(rel, std::vector<ValueId>{b, a}));
+  EXPECT_FALSE(db.HasRow(rel, std::vector<ValueId>{a, kNoValue}));
+  EXPECT_FALSE(db.HasRow(kNoRelation, std::vector<ValueId>{a, b}));
+  // AddRow dedups against AddFact and keeps the string view consistent.
+  EXPECT_FALSE(db.AddRow(rel, std::vector<ValueId>{a, b}));
+  EXPECT_TRUE(db.AddRow(rel, std::vector<ValueId>{c, a}));
+  EXPECT_TRUE(db.HasFact("E", {"c", "a"}));
+  EXPECT_EQ(db.Facts("E").size(), 3u);
+  EXPECT_EQ(db.NumFacts(), 3u);
+  // The arena is the contiguous arity-strided row store.
+  std::span<const ValueId> arena = db.Arena(rel);
+  ASSERT_EQ(arena.size(), 6u);
+  EXPECT_EQ(arena[4], c);
+  EXPECT_EQ(arena.data() + 2, db.Row(rel, 1).data());
+  EXPECT_EQ(db.RelationIds(), (std::vector<RelationId>{rel}));
 }
 
 TEST(DatabaseTest, ProbeManyMatchesProbe) {
-  for (DatabaseLayout layout : {DatabaseLayout::kFlat, DatabaseLayout::kLegacy}) {
-    Database db(layout);
-    for (int i = 0; i < 40; ++i) {
-      db.AddFact("T", {std::to_string(i % 7), std::to_string(i % 5),
-                       std::to_string(i)});
+  Database db;
+  for (int i = 0; i < 40; ++i) {
+    db.AddFact("T", {std::to_string(i % 7), std::to_string(i % 5),
+                     std::to_string(i)});
+  }
+  const RelationId rel = db.RelationIdOf("T");
+  for (std::uint32_t mask : {1u, 3u, 5u, 7u}) {
+    const int width = __builtin_popcount(mask);
+    std::vector<ValueId> keys;
+    std::vector<std::vector<std::uint32_t>> expected;
+    for (int i = 0; i < 12; ++i) {
+      std::vector<ValueId> key;
+      for (int j = 0; j < width; ++j) {
+        key.push_back(db.ValueIdOf(std::to_string((i * 3 + j) % 9)));
+      }
+      auto bucket = db.Probe(rel, mask, std::span<const ValueId>(key));
+      expected.emplace_back(bucket.begin(), bucket.end());
+      keys.insert(keys.end(), key.begin(), key.end());
     }
-    const RelationId rel = db.RelationIdOf("T");
-    for (std::uint32_t mask : {1u, 3u, 5u, 7u}) {
-      const int width = __builtin_popcount(mask);
-      std::vector<ValueId> keys;
-      std::vector<std::vector<std::uint32_t>> expected;
-      for (int i = 0; i < 12; ++i) {
-        std::vector<ValueId> key;
-        for (int j = 0; j < width; ++j) {
-          key.push_back(db.ValueIdOf(std::to_string((i * 3 + j) % 9)));
-        }
-        auto bucket = db.Probe(rel, mask, std::span<const ValueId>(key));
-        expected.emplace_back(bucket.begin(), bucket.end());
-        keys.insert(keys.end(), key.begin(), key.end());
-      }
-      std::vector<std::span<const std::uint32_t>> out(12);
-      db.ProbeMany(rel, mask, keys, out);
-      for (int i = 0; i < 12; ++i) {
-        EXPECT_EQ(std::vector<std::uint32_t>(out[i].begin(), out[i].end()),
-                  expected[i])
-            << "layout " << static_cast<int>(layout) << " mask " << mask
-            << " key " << i;
-      }
+    std::vector<std::span<const std::uint32_t>> out(12);
+    db.ProbeMany(rel, mask, keys, out);
+    for (int i = 0; i < 12; ++i) {
+      EXPECT_EQ(std::vector<std::uint32_t>(out[i].begin(), out[i].end()),
+                expected[i])
+          << "mask " << mask << " key " << i;
     }
   }
 }
 
 TEST(DatabaseTest, FlatProbeTableResizesAndCountsCollisions) {
-  Database db(DatabaseLayout::kFlat);
+  Database db;
   // Enough distinct keys to push the mask-1 probe table through several
   // capacity doublings (load kept under 3/4).
   for (int i = 0; i < 300; ++i) {
@@ -231,11 +222,10 @@ TEST(DatabaseTest, FlatProbeTableResizesAndCountsCollisions) {
   // The primary (full-row) table and the mask-1 table both grew past the
   // initial 16 slots.
   EXPECT_GT(stats.probe_resizes, 0u);
-  EXPECT_EQ(db.layout(), DatabaseLayout::kFlat);
 }
 
 TEST(DatabaseTest, FlatServesFullMaskProbesFromPrimaryTable) {
-  Database db(DatabaseLayout::kFlat);
+  Database db;
   db.AddFact("E", {"a", "b"});
   db.AddFact("E", {"b", "c"});
   const RelationId rel = db.RelationIdOf("E");

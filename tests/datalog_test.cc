@@ -80,6 +80,24 @@ TEST(EvalTest, EmptyEdbYieldsNothing) {
   EXPECT_TRUE(result->empty());
 }
 
+TEST(EvalTest, RejectsIntensionalPredicateStoredAtAnotherArity) {
+  auto program = ParseProgram("g(x) :- f(x,y). goal g.");
+  ASSERT_TRUE(program.ok());
+  Database db;
+  db.AddFact("g", {"a", "b", "c"});
+  db.AddFact("f", {"a", "b"});
+  for (const EvalStrategy strategy :
+       {EvalStrategy::kSemiNaive, EvalStrategy::kNaive}) {
+    auto result = EvaluateGoal(*program, db, strategy);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("'g' has arity 1 in the program "
+                                             "but 3 in the database"),
+              std::string::npos)
+        << result.status().message();
+  }
+}
+
 TEST(EvalTest, StatsAreReported) {
   Database db;
   db.AddFact("e", {"1", "2"});

@@ -5,6 +5,7 @@
 
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cq/database.h"
@@ -24,20 +25,27 @@ inline SchemaSpec SmallSchema() {
 
 inline SchemaSpec BinarySchema() { return SchemaSpec{{{"a", 2}, {"b", 2}}}; }
 
-/// A random database over `schema` with values v0..v{domain-1}. To build a
-/// flat/legacy pair with identical contents (and identical pool interning
-/// sequences), copy the generator and call this twice with the same copy:
-/// `std::mt19937 rng2 = *rng;` before the first call.
-inline Database RandomDatabase(std::mt19937* rng, const SchemaSpec& schema,
-                               int domain, int facts,
-                               DatabaseLayout layout = DatabaseLayout::kFlat) {
-  Database db(layout);
+/// `facts` random (relation, tuple) draws over `schema` with values
+/// v0..v{domain-1}, duplicates included, in draw order.
+inline std::vector<std::pair<std::string, Tuple>> RandomFacts(
+    std::mt19937* rng, const SchemaSpec& schema, int domain, int facts) {
+  std::vector<std::pair<std::string, Tuple>> out;
   for (int i = 0; i < facts; ++i) {
     const auto& [name, arity] = schema.relations[(*rng)() % schema.relations.size()];
     Tuple t;
     for (int j = 0; j < arity; ++j) {
       t.push_back("v" + std::to_string((*rng)() % domain));
     }
+    out.emplace_back(name, std::move(t));
+  }
+  return out;
+}
+
+/// A random database over `schema`: the RandomFacts draws, inserted in order.
+inline Database RandomDatabase(std::mt19937* rng, const SchemaSpec& schema,
+                               int domain, int facts) {
+  Database db;
+  for (auto& [name, t] : RandomFacts(rng, schema, domain, facts)) {
     db.AddFact(name, std::move(t));
   }
   return db;

@@ -17,6 +17,7 @@
 #include "cq/homomorphism.h"
 #include "datalog/eval.h"
 #include "structure/acyclic_eval.h"
+#include "tests/db_oracle.h"
 #include "tests/generators.h"
 
 namespace qcont {
@@ -163,23 +164,21 @@ TEST(IndexDifferentialTest, SemiNaiveIndexedNeverScansMoreThanScanEngine) {
 }
 
 // ---------------------------------------------------------------------------
-// Flat vs legacy storage layout. The two layouts are built from identical
-// insertion sequences (copied generator), so their pools intern the same ids
-// in the same order and every engine must behave bit-identically on top of
-// them: same answers *and* same engine-level counters (the db-level index
-// counters legitimately differ — the flat layout serves full-row probes from
-// its eagerly maintained primary table — and are not compared).
+// Storage layout. The database is checked against an independent oracle
+// (tests/db_oracle.h: the inserted facts deduplicated through a std::set),
+// and the physical shard layouts P ∈ {3, 16} against the unsharded P = 1:
+// copies of one database share a pool, so every engine must behave
+// bit-identically on top of them — same answers *and* same engine-level
+// counters (the db-level probe micro-counters legitimately move with P and
+// are not compared).
 // ---------------------------------------------------------------------------
 
-std::pair<Database, Database> LayoutPair(std::mt19937* rng,
-                                         const testgen::SchemaSpec& schema,
-                                         int domain, int facts) {
-  std::mt19937 rng2 = *rng;
-  Database flat =
-      testgen::RandomDatabase(rng, schema, domain, facts, DatabaseLayout::kFlat);
-  Database legacy = testgen::RandomDatabase(&rng2, schema, domain, facts,
-                                            DatabaseLayout::kLegacy);
-  return {std::move(flat), std::move(legacy)};
+// `base` plus copies resharded to P = 3 and P = 16.
+std::vector<Database> ShardCopies(const Database& base) {
+  std::vector<Database> out(3, base);
+  out[1].Reshard(3);
+  out[2].Reshard(16);
+  return out;
 }
 
 void ExpectStatsEqual(const HomSearchStats& a, const HomSearchStats& b,
@@ -195,44 +194,51 @@ TEST(LayoutDifferentialTest, HomSearchAgreesWithIdenticalStats) {
   std::mt19937 rng(20260807);
   const testgen::SchemaSpec schema = testgen::SmallSchema();
   for (int trial = 0; trial < 40; ++trial) {
-    auto [flat, legacy] = LayoutPair(&rng, schema, 5, 24);
+    const std::vector<Database> dbs =
+        ShardCopies(testgen::RandomDatabase(&rng, schema, 5, 24));
     ConjunctiveQuery cq = testgen::RandomCq(&rng, schema, 4, 4, 2);
-    HomSearchStats flat_stats, legacy_stats;
-    EXPECT_EQ(Sorted(EvaluateCq(cq, flat, &flat_stats, kIndexed)),
-              Sorted(EvaluateCq(cq, legacy, &legacy_stats, kIndexed)))
-        << "trial " << trial;
-    ExpectStatsEqual(flat_stats, legacy_stats, trial);
+    const std::vector<Tuple> want =
+        Sorted(EvaluateCq(cq, dbs[0], nullptr, kScan));
+    HomSearchStats base_stats;
+    for (std::size_t i = 0; i < dbs.size(); ++i) {
+      HomSearchStats s;
+      EXPECT_EQ(Sorted(EvaluateCq(cq, dbs[i], &s, kIndexed)), want)
+          << "trial " << trial << " layout " << i;
+      if (i == 0) {
+        base_stats = s;
+      } else {
+        ExpectStatsEqual(base_stats, s, trial);
+      }
+    }
   }
 }
 
-TEST(LayoutDifferentialTest, SemiNaiveEvalAgreesAcrossLayoutsAndThreads) {
+TEST(LayoutDifferentialTest, SemiNaiveEvalAgreesAcrossThreadsAndWithNaive) {
   std::mt19937 rng(424243);
   const testgen::SchemaSpec schema = testgen::SmallSchema();
   for (int trial = 0; trial < 12; ++trial) {
-    auto [flat, legacy] = LayoutPair(&rng, schema, 4, 12);
+    Database edb = testgen::RandomDatabase(&rng, schema, 4, 12);
     DatalogProgram program = testgen::RandomLinearProgram(&rng, schema, 2);
-    std::vector<std::vector<Tuple>> goals;
+    EvalOptions naive;
+    naive.strategy = EvalStrategy::kNaive;
+    auto want = EvaluateGoal(program, edb, naive);
+    ASSERT_TRUE(want.ok()) << "trial " << trial;
     std::vector<DatalogEvalStats> stats;
-    for (const Database* edb : {&flat, &legacy}) {
-      for (int threads : {1, 8}) {
-        EvalOptions options;
-        options.exec = ExecContext{.threads = threads, .stats = nullptr};
-        DatalogEvalStats s;
-        auto goal = EvaluateGoal(program, *edb, options, &s);
-        ASSERT_TRUE(goal.ok()) << "trial " << trial;
-        goals.push_back(*goal);
-        stats.push_back(s);
-      }
+    for (int threads : {1, 8}) {
+      EvalOptions options;
+      options.exec = ExecContext{.threads = threads, .stats = nullptr};
+      DatalogEvalStats s;
+      auto goal = EvaluateGoal(program, edb, options, &s);
+      ASSERT_TRUE(goal.ok()) << "trial " << trial;
+      EXPECT_EQ(*goal, *want) << "trial " << trial << " threads " << threads;
+      stats.push_back(s);
     }
-    for (std::size_t i = 1; i < goals.size(); ++i) {
-      EXPECT_EQ(goals[0], goals[i]) << "trial " << trial << " run " << i;
-      EXPECT_EQ(stats[0].iterations, stats[i].iterations) << "trial " << trial;
-      EXPECT_EQ(stats[0].rule_firings, stats[i].rule_firings)
-          << "trial " << trial << " run " << i;
-      EXPECT_EQ(stats[0].derived_facts, stats[i].derived_facts)
-          << "trial " << trial << " run " << i;
-      ExpectStatsEqual(stats[0].hom, stats[i].hom, trial);
-    }
+    EXPECT_EQ(stats[0].iterations, stats[1].iterations) << "trial " << trial;
+    EXPECT_EQ(stats[0].rule_firings, stats[1].rule_firings)
+        << "trial " << trial;
+    EXPECT_EQ(stats[0].derived_facts, stats[1].derived_facts)
+        << "trial " << trial;
+    ExpectStatsEqual(stats[0].hom, stats[1].hom, trial);
   }
 }
 
@@ -240,52 +246,57 @@ TEST(LayoutDifferentialTest, YannakakisAgreesWithIdenticalStats) {
   std::mt19937 rng(777001);
   const testgen::SchemaSpec schema = testgen::SmallSchema();
   for (int trial = 0; trial < 30; ++trial) {
-    auto [flat, legacy] = LayoutPair(&rng, schema, 5, 20);
+    const std::vector<Database> dbs =
+        ShardCopies(testgen::RandomDatabase(&rng, schema, 5, 20));
     ConjunctiveQuery cq = testgen::RandomAcyclicCq(&rng, schema, 4, 1);
-    YannakakisStats flat_sat, legacy_sat;
-    auto sat_flat = AcyclicSatisfiable(cq, flat, {}, &flat_sat);
-    auto sat_legacy = AcyclicSatisfiable(cq, legacy, {}, &legacy_sat);
-    ASSERT_TRUE(sat_flat.ok() && sat_legacy.ok()) << "trial " << trial;
-    EXPECT_EQ(*sat_flat, *sat_legacy) << "trial " << trial;
-    EXPECT_EQ(flat_sat.semijoins, legacy_sat.semijoins) << "trial " << trial;
-    EXPECT_EQ(flat_sat.tuples_scanned, legacy_sat.tuples_scanned)
-        << "trial " << trial;
-    EXPECT_EQ(flat_sat.index_probes, legacy_sat.index_probes)
-        << "trial " << trial;
-
-    YannakakisStats flat_eval, legacy_eval;
-    auto eval_flat = EvaluateAcyclicCq(cq, flat, &flat_eval);
-    auto eval_legacy = EvaluateAcyclicCq(cq, legacy, &legacy_eval);
-    ASSERT_TRUE(eval_flat.ok() && eval_legacy.ok()) << "trial " << trial;
-    EXPECT_EQ(Sorted(*eval_flat), Sorted(*eval_legacy)) << "trial " << trial;
-    EXPECT_EQ(flat_eval.semijoins, legacy_eval.semijoins) << "trial " << trial;
-    EXPECT_EQ(flat_eval.tuples_scanned, legacy_eval.tuples_scanned)
-        << "trial " << trial;
-    EXPECT_EQ(flat_eval.index_probes, legacy_eval.index_probes)
-        << "trial " << trial;
+    // Reference answers from the scan-based homomorphism engine.
+    const std::vector<Tuple> want =
+        Sorted(EvaluateCq(cq, dbs[0], nullptr, kScan));
+    YannakakisStats base_sat, base_eval;
+    for (std::size_t i = 0; i < dbs.size(); ++i) {
+      YannakakisStats sat_stats, eval_stats;
+      auto sat = AcyclicSatisfiable(cq, dbs[i], {}, &sat_stats);
+      auto eval = EvaluateAcyclicCq(cq, dbs[i], &eval_stats);
+      ASSERT_TRUE(sat.ok() && eval.ok()) << "trial " << trial;
+      EXPECT_EQ(*sat, !want.empty()) << "trial " << trial << " layout " << i;
+      EXPECT_EQ(Sorted(*eval), want) << "trial " << trial << " layout " << i;
+      if (i == 0) {
+        base_sat = sat_stats;
+        base_eval = eval_stats;
+        continue;
+      }
+      for (const auto& [a, b] : {std::pair{base_sat, sat_stats},
+                                 std::pair{base_eval, eval_stats}}) {
+        EXPECT_EQ(a.semijoins, b.semijoins) << "trial " << trial;
+        EXPECT_EQ(a.tuples_scanned, b.tuples_scanned) << "trial " << trial;
+        EXPECT_EQ(a.index_probes, b.index_probes) << "trial " << trial;
+      }
+    }
   }
 }
 
-TEST(LayoutDifferentialTest, FactsAndDomainAgreeAcrossLayouts) {
+TEST(LayoutDifferentialTest, FactsRowsAndProbesMatchOracle) {
   std::mt19937 rng(90909);
   const testgen::SchemaSpec schema = testgen::SmallSchema();
+  const int domain = 4;
   for (int trial = 0; trial < 20; ++trial) {
-    auto [flat, legacy] = LayoutPair(&rng, schema, 4, 30);
-    ASSERT_EQ(flat.NumFacts(), legacy.NumFacts()) << "trial " << trial;
-    ASSERT_EQ(flat.Relations(), legacy.Relations()) << "trial " << trial;
-    EXPECT_EQ(flat.ActiveDomain(), legacy.ActiveDomain()) << "trial " << trial;
-    for (const std::string& rel : flat.Relations()) {
-      EXPECT_EQ(flat.Facts(rel), legacy.Facts(rel)) << "trial " << trial;
-      const RelationId id = flat.RelationIdOf(rel);
-      ASSERT_EQ(id, legacy.RelationIdOf(rel)) << "trial " << trial;
-      ASSERT_EQ(flat.NumRows(id), legacy.NumRows(id)) << "trial " << trial;
-      for (std::size_t r = 0; r < flat.NumRows(id); ++r) {
-        std::span<const ValueId> row = flat.Row(id, r);
-        EXPECT_TRUE(std::equal(row.begin(), row.end(),
-                               legacy.Row(id, r).begin(),
-                               legacy.Row(id, r).end()))
-            << "trial " << trial;
-        EXPECT_TRUE(legacy.HasRow(id, row)) << "trial " << trial;
+    Database db;
+    testgen::DatabaseOracle oracle;
+    for (const auto& [rel, t] :
+         testgen::RandomFacts(&rng, schema, domain, 30)) {
+      ASSERT_EQ(db.AddFact(rel, t), oracle.Add(rel, t)) << "trial " << trial;
+    }
+    std::vector<Tuple> keys;
+    for (int k = 0; k < 24; ++k) {
+      keys.push_back({"v" + std::to_string(rng() % domain),
+                      "v" + std::to_string(rng() % domain)});
+    }
+    for (const Database& layout : ShardCopies(db)) {
+      const std::string where = "trial " + std::to_string(trial) + " P=" +
+                                std::to_string(layout.shard_count());
+      testgen::ExpectMatchesOracle(layout, oracle, where);
+      for (const std::string& rel : oracle.Relations()) {
+        testgen::ExpectProbesMatchOracle(layout, oracle, rel, keys, where);
       }
     }
   }
@@ -294,34 +305,31 @@ TEST(LayoutDifferentialTest, FactsAndDomainAgreeAcrossLayouts) {
 // ---------------------------------------------------------------------------
 // Hash-sharded storage (DESIGN.md §17). Sharding is purely physical: for
 // every shard count P — including non-power-of-two — answers, derived
-// databases, and every engine-level counter must match the legacy layout
-// and the unsharded flat layout exactly. P=1 is additionally bit-identical
-// to previous releases (same arenas, same probe tables).
+// databases, and every engine-level counter must match the unsharded
+// layout exactly. P=1 is additionally bit-identical to previous releases
+// (same arenas, same probe tables).
 // ---------------------------------------------------------------------------
 
-TEST(LayoutDifferentialTest, ShardedSemiNaiveAgreesWithLegacyExactly) {
+TEST(LayoutDifferentialTest, ShardedSemiNaiveAgreesWithUnshardedExactly) {
   std::mt19937 rng(8081);
   const testgen::SchemaSpec schema = testgen::SmallSchema();
   for (int trial = 0; trial < 8; ++trial) {
-    auto [flat, legacy] = LayoutPair(&rng, schema, 4, 14);
+    Database edb = testgen::RandomDatabase(&rng, schema, 4, 14);
     DatalogProgram program = testgen::RandomLinearProgram(&rng, schema, 2);
     std::vector<std::vector<Tuple>> goals;
     std::vector<DatalogEvalStats> stats;
-    // The legacy run is the oracle; the flat runs sweep the full
-    // (shards, threads) grid, including the non-power-of-two P=3.
-    for (const Database* edb : {&legacy, &flat}) {
-      for (int shards : {1, 3, 16}) {
-        if (edb->layout() == DatabaseLayout::kLegacy && shards != 1) continue;
-        for (int threads : {1, 8}) {
-          EvalOptions options;
-          options.exec = ExecContext{.threads = threads, .stats = nullptr};
-          options.shards = shards;
-          DatalogEvalStats s;
-          auto goal = EvaluateGoal(program, *edb, options, &s);
-          ASSERT_TRUE(goal.ok()) << "trial " << trial;
-          goals.push_back(*goal);
-          stats.push_back(s);
-        }
+    // The first run (P=1, threads=1) is the oracle; the rest sweep the
+    // full (shards, threads) grid, including the non-power-of-two P=3.
+    for (int shards : {1, 3, 16}) {
+      for (int threads : {1, 8}) {
+        EvalOptions options;
+        options.exec = ExecContext{.threads = threads, .stats = nullptr};
+        options.shards = shards;
+        DatalogEvalStats s;
+        auto goal = EvaluateGoal(program, edb, options, &s);
+        ASSERT_TRUE(goal.ok()) << "trial " << trial;
+        goals.push_back(*goal);
+        stats.push_back(s);
       }
     }
     for (std::size_t i = 1; i < goals.size(); ++i) {

@@ -82,6 +82,16 @@ TEST(ParserTest, DatabaseRejectsRules) {
   EXPECT_FALSE(ParseDatabase("p(x) :- e(x,y).").ok());
 }
 
+TEST(ParserTest, DatabaseRejectsMixedArities) {
+  auto db = ParseDatabase("e(a,b).\ne(a,b,c).");
+  ASSERT_FALSE(db.ok());
+  EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument);
+  const std::string& msg = db.status().message();
+  EXPECT_NE(msg.find("'e'"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("3 here, 2 before"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+}
+
 TEST(ParserTest, RegexUnterminated) {
   EXPECT_FALSE(ParseUC2rpq("Q(x,y) :- [a (x,y).").ok());
 }

@@ -1,10 +1,9 @@
-// Differential and contract tests for the SIMD tag-filtered probe kernels
+// Differential and contract tests for the SIMD tag-filtered probe kernel
 // (DESIGN.md §16): the vector group compare must agree bit-for-bit with
-// the scalar SWAR reference, probes must agree with a naive row scan
-// across the whole knob grid (load factor × group width × filters), the
-// probes counter must bump once per key, and the block-at-a-time delta
-// join must derive exactly what the recursive engine derives — with
-// thread-count-invariant counters.
+// the scalar SWAR reference, probes must agree with an independent
+// std::set oracle (tests/db_oracle.h), the probes counter must bump once
+// per key, and the block-at-a-time delta join must derive exactly what the
+// recursive engine derives — with thread-count-invariant counters.
 
 #include <algorithm>
 #include <cstdint>
@@ -20,6 +19,7 @@
 #include "base/simd.h"
 #include "cq/database.h"
 #include "datalog/eval.h"
+#include "tests/db_oracle.h"
 #include "tests/generators.h"
 
 namespace qcont {
@@ -39,10 +39,6 @@ TEST(SimdKernelTest, MatchBytesAgreesWithScalarReference) {
     for (std::size_t off = 0; off + 16 <= sizeof(buf); ++off) {
       EXPECT_EQ(MatchBytes16(buf + off, needle),
                 MatchBytes16Scalar(buf + off, needle));
-      EXPECT_EQ(MatchBytes(buf + off, needle, 16),
-                MatchBytes16Scalar(buf + off, needle));
-      EXPECT_EQ(MatchBytes(buf + off, needle, 8),
-                MatchBytes8Scalar(buf + off, needle));
     }
   }
 }
@@ -61,84 +57,36 @@ TEST(SimdKernelTest, MatchBytesMatchesPositionByPosition) {
   }
 }
 
-// Naive reference: the row indices whose masked positions equal `key`, in
-// insertion order — exactly the postings contract of Database::Probe.
-std::vector<std::uint32_t> ScanReference(const Database& db, RelationId rel,
-                                         std::uint32_t mask,
-                                         std::span<const ValueId> key) {
-  std::vector<std::uint32_t> out;
-  for (std::size_t r = 0; r < db.NumRows(rel); ++r) {
-    const std::span<const ValueId> row = db.Row(rel, r);
-    std::size_t k = 0;
-    bool match = true;
-    for (std::uint32_t p = 0; mask >> p != 0; ++p) {
-      if ((mask >> p & 1u) == 0) continue;
-      if (p >= row.size() || row[p] != key[k++]) {
-        match = false;
-        break;
-      }
-    }
-    if (match) out.push_back(static_cast<std::uint32_t>(r));
+TEST(ProbeKernelTest, ProbeMatchesOracle) {
+  std::mt19937 rng(75161);
+  Database db;
+  testgen::DatabaseOracle oracle;
+  const int domain = 12;
+  for (int i = 0; i < 300; ++i) {
+    const std::string rel = i % 5 == 0 ? "u" : "e";
+    const Tuple t = i % 5 == 0
+                        ? Tuple{"v" + std::to_string(rng() % domain)}
+                        : Tuple{"v" + std::to_string(rng() % domain),
+                                "v" + std::to_string(rng() % domain)};
+    ASSERT_EQ(db.AddFact(rel, t), oracle.Add(rel, t)) << "fact " << i;
   }
-  return out;
-}
-
-TEST(ProbeKernelTest, ProbeMatchesScanReferenceAcrossKnobGrid) {
-  for (const int load : {40, 75, 90}) {
-    for (const int width : {8, 16}) {
-      for (const bool filters : {false, true}) {
-        std::mt19937 rng(1000 * load + 10 * width + (filters ? 1 : 0));
-        ProbeOptions opts;
-        opts.max_load_percent = load;
-        opts.group_width = width;
-        opts.use_filters = filters;
-        Database db(DatabaseLayout::kFlat);
-        db.set_probe_options(opts);
-        const int domain = 12;
-        for (int i = 0; i < 300; ++i) {
-          db.AddFact(i % 5 == 0 ? "u" : "e",
-                     i % 5 == 0
-                         ? Tuple{"v" + std::to_string(rng() % domain)}
-                         : Tuple{"v" + std::to_string(rng() % domain),
-                                 "v" + std::to_string(rng() % domain)});
-        }
-        const RelationId e = db.RelationIdOf("e");
-        const RelationId u = db.RelationIdOf("u");
-        auto vid = [&](int i) {
-          return db.pool()->Find("v" + std::to_string(i));
-        };
-        for (int trial = 0; trial < 200; ++trial) {
-          // Mix of present and absent keys (absent drawn past the domain
-          // half the time never interned — skip those, Probe requires
-          // interned ids only through this test's construction).
-          const ValueId a = vid(static_cast<int>(rng() % domain));
-          const ValueId b = vid(static_cast<int>(rng() % domain));
-          for (const std::uint32_t mask : {1u, 2u, 3u}) {
-            const ValueId key[2] = {a, b};
-            const std::size_t w = std::popcount(mask);
-            const std::span<const ValueId> k(key, w);
-            const auto got = db.Probe(e, mask, k);
-            const auto want = ScanReference(db, e, mask, k);
-            ASSERT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
-                      want)
-                << "load=" << load << " width=" << width
-                << " filters=" << filters << " mask=" << mask;
-          }
-          const ValueId ku[1] = {a};
-          const auto got = db.Probe(u, 1u, ku);
-          ASSERT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
-                    ScanReference(db, u, 1u, ku));
-        }
-      }
-    }
+  testgen::ExpectMatchesOracle(db, oracle, "probe kernel");
+  // Present and absent key combinations over the interned domain; every
+  // nonzero mask of each relation probes the key's projection.
+  std::vector<Tuple> e_keys, u_keys;
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::string a = "v" + std::to_string(rng() % domain);
+    const std::string b = "v" + std::to_string(rng() % domain);
+    e_keys.push_back({a, b});
+    u_keys.push_back({a});
   }
+  testgen::ExpectProbesMatchOracle(db, oracle, "e", e_keys, "probe kernel");
+  testgen::ExpectProbesMatchOracle(db, oracle, "u", u_keys, "probe kernel");
 }
 
 TEST(ProbeKernelTest, ProbeManyMatchesSingleProbes) {
   std::mt19937 rng(909);
-  ProbeOptions opts;
-  Database db(DatabaseLayout::kFlat);
-  db.set_probe_options(opts);
+  Database db;
   for (int i = 0; i < 400; ++i) {
     db.AddFact("e", Tuple{"v" + std::to_string(rng() % 20),
                           "v" + std::to_string(rng() % 20)});
@@ -159,74 +107,60 @@ TEST(ProbeKernelTest, ProbeManyMatchesSingleProbes) {
 }
 
 // The index_stats() contract: `probes` counts keys, not slots visited —
-// one per Probe call, one per ProbeMany key — for every knob setting, with
-// tag-filter and Bloom-filter traffic accounted separately.
+// one per Probe call, one per ProbeMany key — with tag-filter and
+// Bloom-filter traffic accounted separately.
 TEST(ProbeKernelTest, ProbesCounterBumpsOncePerKey) {
-  for (const bool filters : {false, true}) {
-    std::mt19937 rng(4242 + (filters ? 1 : 0));
-    ProbeOptions opts;
-    opts.use_filters = filters;
-    // High load forces collision chains: slot visits far exceed keys.
-    opts.max_load_percent = 90;
-    Database db(DatabaseLayout::kFlat);
-    db.set_probe_options(opts);
-    for (int i = 0; i < 500; ++i) {
-      db.AddFact("e", Tuple{"v" + std::to_string(rng() % 30),
-                            "v" + std::to_string(rng() % 30)});
-    }
-    const RelationId e = db.RelationIdOf("e");
-    const std::uint64_t before = db.index_stats().probes;
-    std::vector<ValueId> keys;
-    const std::size_t n = 300;
-    for (std::size_t i = 0; i < n; ++i) {
-      keys.push_back(db.pool()->Find("v" + std::to_string(rng() % 30)));
-    }
-    std::vector<std::span<const std::uint32_t>> hits(n);
-    db.ProbeMany(e, 1u, keys, hits);
-    EXPECT_EQ(db.index_stats().probes, before + n);
-    for (std::size_t i = 0; i < 10; ++i) {
-      db.Probe(e, 1u, std::span<const ValueId>(&keys[i], 1));
-    }
-    EXPECT_EQ(db.index_stats().probes, before + n + 10);
-    // Tag traffic exists and is accounted outside `probes`.
-    const DatabaseIndexStats s = db.index_stats();
-    EXPECT_GT(s.tag_hits, 0u);
-    if (filters) {
-      // With a domain this size some keys miss both Bloom bits.
-      EXPECT_GE(s.filter_skips, 0u);
-    }
+  std::mt19937 rng(4243);
+  Database db;
+  for (int i = 0; i < 500; ++i) {
+    db.AddFact("e", Tuple{"v" + std::to_string(rng() % 30),
+                          "v" + std::to_string(rng() % 30)});
   }
+  const RelationId e = db.RelationIdOf("e");
+  const std::uint64_t before = db.index_stats().probes;
+  std::vector<ValueId> keys;
+  const std::size_t n = 300;
+  for (std::size_t i = 0; i < n; ++i) {
+    keys.push_back(db.pool()->Find("v" + std::to_string(rng() % 30)));
+  }
+  std::vector<std::span<const std::uint32_t>> hits(n);
+  db.ProbeMany(e, 1u, keys, hits);
+  EXPECT_EQ(db.index_stats().probes, before + n);
+  for (std::size_t i = 0; i < 10; ++i) {
+    db.Probe(e, 1u, std::span<const ValueId>(&keys[i], 1));
+  }
+  EXPECT_EQ(db.index_stats().probes, before + n + 10);
+  // Tag traffic exists and is accounted outside `probes`.
+  const DatabaseIndexStats s = db.index_stats();
+  EXPECT_GT(s.tag_hits, 0u);
+  // With a domain this size some keys miss both Bloom bits.
+  EXPECT_GE(s.filter_skips, 0u);
 }
 
 // Identical databases probed with identical sequences must produce
-// identical counters for every knob setting — the determinism contract
-// that makes the scalar-vs-SIMD CI legs comparable.
+// identical counters — the determinism contract that makes the
+// scalar-vs-SIMD CI legs comparable.
 TEST(ProbeKernelTest, CountersDeterministicAcrossRuns) {
-  for (const int width : {8, 16}) {
-    DatabaseIndexStats runs[2];
-    for (int run = 0; run < 2; ++run) {
-      std::mt19937 rng(606);
-      ProbeOptions opts;
-      opts.group_width = width;
-      Database db(DatabaseLayout::kFlat);
-      db.set_probe_options(opts);
-      for (int i = 0; i < 300; ++i) {
-        db.AddFact("e", Tuple{"v" + std::to_string(rng() % 15),
-                              "v" + std::to_string(rng() % 15)});
-      }
-      const RelationId e = db.RelationIdOf("e");
-      for (int i = 0; i < 500; ++i) {
-        const ValueId k = db.pool()->Find("v" + std::to_string(rng() % 15));
-        db.Probe(e, 1u, std::span<const ValueId>(&k, 1));
-      }
-      runs[run] = db.index_stats();
+  DatabaseIndexStats runs[2];
+  for (int run = 0; run < 2; ++run) {
+    std::mt19937 rng(606);
+    Database db;
+    for (int i = 0; i < 300; ++i) {
+      db.AddFact("e", Tuple{"v" + std::to_string(rng() % 15),
+                            "v" + std::to_string(rng() % 15)});
     }
-    EXPECT_EQ(runs[0].probes, runs[1].probes);
-    EXPECT_EQ(runs[0].tag_hits, runs[1].tag_hits);
-    EXPECT_EQ(runs[0].tag_skips, runs[1].tag_skips);
-    EXPECT_EQ(runs[0].probe_collisions, runs[1].probe_collisions);
-    EXPECT_EQ(runs[0].filter_skips, runs[1].filter_skips);
+    const RelationId e = db.RelationIdOf("e");
+    for (int i = 0; i < 500; ++i) {
+      const ValueId k = db.pool()->Find("v" + std::to_string(rng() % 15));
+      db.Probe(e, 1u, std::span<const ValueId>(&k, 1));
+    }
+    runs[run] = db.index_stats();
   }
+  EXPECT_EQ(runs[0].probes, runs[1].probes);
+  EXPECT_EQ(runs[0].tag_hits, runs[1].tag_hits);
+  EXPECT_EQ(runs[0].tag_skips, runs[1].tag_skips);
+  EXPECT_EQ(runs[0].probe_collisions, runs[1].probe_collisions);
+  EXPECT_EQ(runs[0].filter_skips, runs[1].filter_skips);
 }
 
 void ExpectHomStatsEqual(const HomSearchStats& a, const HomSearchStats& b,
@@ -286,7 +220,7 @@ TEST(BlockJoinTest, ThreadCountInvariantAnswersAndCounters) {
   }
 }
 
-TEST(BlockJoinTest, KnobGridProducesIdenticalGoals) {
+TEST(BlockJoinTest, DeltaBlockSizesProduceIdenticalGoals) {
   std::mt19937 rng(161803);
   const testgen::SchemaSpec schema = testgen::BinarySchema();
   for (int trial = 0; trial < 8; ++trial) {
@@ -295,25 +229,13 @@ TEST(BlockJoinTest, KnobGridProducesIdenticalGoals) {
     EvalOptions base;
     auto want = EvaluateGoal(program, edb, base);
     ASSERT_TRUE(want.ok()) << "trial " << trial;
-    for (const int load : {40, 90}) {
-      for (const int width : {8, 16}) {
-        for (const bool filters : {false, true}) {
-          for (const std::size_t block : {std::size_t{1}, std::size_t{7},
-                                          std::size_t{1024}}) {
-            EvalOptions options;
-            options.probe.max_load_percent = load;
-            options.probe.group_width = width;
-            options.probe.use_filters = filters;
-            options.delta_block_rows = block;
-            auto got = EvaluateGoal(program, edb, options);
-            ASSERT_TRUE(got.ok()) << "trial " << trial;
-            EXPECT_EQ(*got, *want)
-                << "trial " << trial << " load=" << load
-                << " width=" << width << " filters=" << filters
-                << " block=" << block;
-          }
-        }
-      }
+    for (const std::size_t block :
+         {std::size_t{1}, std::size_t{7}, std::size_t{1024}}) {
+      EvalOptions options;
+      options.delta_block_rows = block;
+      auto got = EvaluateGoal(program, edb, options);
+      ASSERT_TRUE(got.ok()) << "trial " << trial;
+      EXPECT_EQ(*got, *want) << "trial " << trial << " block=" << block;
     }
   }
 }

@@ -390,6 +390,11 @@ TEST(ServerTest, MalformedRequestsReportErrorsAndEchoIds) {
        "needs string \\\"program\\\" and \\\"database\\\" fields"},
       {R"({"op":"analyze","deadline_ms":"soon","query":"Q(x) :- e(x,x)."})",
        "must be a number"},
+      // A mixed-arity database is a user error, not a process abort.
+      {R"({"id":1,"op":"eval","program":"g(x) :- e(x,y). goal g.","database":"e(a,b). e(a,b,c)."})",
+       "inconsistent arities"},
+      {R"({"op":"eval","program":"g(x) :- f(x,y). goal g.","database":"g(a,b,c). f(a,b)."})",
+       "has arity 1 in the program but 3 in the database"},
   };
   for (const Case& c : cases) {
     const std::string response = server.HandleLine(c.line);
@@ -399,6 +404,11 @@ TEST(ServerTest, MalformedRequestsReportErrorsAndEchoIds) {
   }
   EXPECT_EQ(server.stats().ok, 0u);
   EXPECT_GT(server.stats().errors, 0u);
+  // The server keeps answering after the rejected database.
+  const std::string next = server.HandleLine(
+      R"({"id":2,"op":"eval","program":"g(x) :- e(x,y). goal g.","database":"e(a,b)."})");
+  EXPECT_NE(next.find("\"status\":\"ok\""), std::string::npos) << next;
+  EXPECT_EQ(server.stats().ok, 1u);
 }
 
 TEST(ServerTest, OversizedRequestIsRejectedAsOverloaded) {
