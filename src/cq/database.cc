@@ -441,8 +441,26 @@ Database::RelationData& Database::EnsureRelation(RelationId rel) {
   return rels_[slot];
 }
 
-bool Database::AddRowInternal(RelationData& data, std::span<const ValueId> row,
-                              Tuple* tuple) {
+template <typename Fresh, typename Refresh>
+void Database::Memoize(Fresh fresh, Refresh refresh) const {
+  {
+    std::shared_lock<std::shared_mutex> lock(memo_mu_.mu);
+    if (fresh()) return;
+  }
+  // Re-check under the exclusive lock: another reader may have caught up.
+  std::unique_lock<std::shared_mutex> lock(memo_mu_.mu);
+  memo_exclusive_locks_.v.fetch_add(1, std::memory_order_relaxed);
+  if (!fresh()) refresh();
+}
+
+void Database::NoteDomain(std::span<const ValueId> row) {
+  for (const ValueId v : row) {
+    if (domain_ids_.insert(v).second) domain_ids_list_.push_back(v);
+  }
+}
+
+bool Database::AddRow(RelationId rel, std::span<const ValueId> row) {
+  RelationData& data = EnsureRelation(rel);
   if (data.num_rows == 0) {
     data.arity = row.size();
     for (RelShard& s : data.shards) {
@@ -473,41 +491,24 @@ bool Database::AddRowInternal(RelationData& data, std::span<const ValueId> row,
   BumpEpoch();
   ClaimPrimarySlot(&idx, i, row, packed, h,
                    static_cast<std::uint32_t>(data.num_rows));
-  Tuple out;
-  if (tuple != nullptr) {
-    out = std::move(*tuple);
-  } else {
-    out.reserve(row.size());
-    for (ValueId id : row) out.push_back(pool_->NameOf(id));
-  }
-  for (std::size_t k = 0; k < row.size(); ++k) {
-    if (domain_ids_.insert(row[k]).second) {
-      domain_.push_back(out[k]);
-      domain_ids_list_.push_back(row[k]);
-    }
-  }
+  NoteDomain(row);
   sh.arena.insert(sh.arena.end(), row.begin(), row.end());
   idx.rows_indexed = idx.postings.size();
   if (shard_count_ > 1) {
     data.row_dir.push_back(
         {shard_idx, static_cast<std::uint32_t>(idx.postings.size() - 1)});
   }
-  data.tuples.push_back(std::move(out));
   ++data.num_rows;
   ++num_facts_;
   return true;
 }
 
-bool Database::AddFact(const std::string& relation, Tuple tuple) {
-  RelationData& data = EnsureRelation(pool_->Intern(relation));
+bool Database::AddFact(const std::string& relation, const Tuple& tuple) {
+  const RelationId rel = pool_->Intern(relation);
   std::vector<ValueId> row;
   row.reserve(tuple.size());
   for (const Value& v : tuple) row.push_back(pool_->Intern(v));
-  return AddRowInternal(data, row, &tuple);
-}
-
-bool Database::AddRow(RelationId rel, std::span<const ValueId> row) {
-  return AddRowInternal(EnsureRelation(rel), row, nullptr);
+  return AddRow(rel, row);
 }
 
 std::size_t Database::AddRowBatch(RelationId rel, std::size_t arity,
@@ -557,16 +558,7 @@ std::size_t Database::AddRowBatch(RelationId rel, std::size_t arity,
       const auto g = static_cast<std::uint32_t>(data.num_rows);
       ClaimPrimarySlot(&idx, slot_i, key, packed, h, g);
       sh.arena.insert(sh.arena.end(), key.begin(), key.end());
-      Tuple t;
-      t.reserve(arity);
-      for (ValueId v : key) t.push_back(pool_->NameOf(v));
-      for (std::size_t k = 0; k < arity; ++k) {
-        if (domain_ids_.insert(key[k]).second) {
-          domain_.push_back(t[k]);
-          domain_ids_list_.push_back(key[k]);
-        }
-      }
-      data.tuples.push_back(std::move(t));
+      NoteDomain(key);
       if (added != nullptr) added->push_back(g);
       ++data.num_rows;
       ++num_facts_;
@@ -650,9 +642,8 @@ std::size_t Database::AddRowBatch(RelationId rel, std::size_t arity,
   // Stage 3 (serial): assign global row numbers to the survivors in
   // candidate order — identical numbering to a serial AddRow loop — patch
   // the placeholder postings, extend the row directory, and fold new
-  // values into the active domain in first-occurrence order.
-  std::vector<std::uint32_t> surv;  // candidate index per committed row
-  surv.reserve(n);
+  // value ids into the active domain in first-occurrence order.
+  std::size_t committed = 0;
   std::vector<std::uint32_t> shard_seen(P, 0);
   for (std::size_t i = 0; i < n; ++i) {
     if (survivor[i] == 0) continue;
@@ -663,41 +654,13 @@ std::size_t Database::AddRowBatch(RelationId rel, std::size_t arity,
     const auto g = static_cast<std::uint32_t>(data.num_rows);
     data.shards[s].primary.postings[local] = g;
     if (shard_count_ > 1) data.row_dir.push_back({s, local});
-    const std::span<const ValueId> key = rows.subspan(i * arity, arity);
-    for (ValueId v : key) {
-      if (domain_ids_.insert(v).second) {
-        domain_.push_back(pool_->NameOf(v));
-        domain_ids_list_.push_back(v);
-      }
-    }
-    surv.push_back(static_cast<std::uint32_t>(i));
+    NoteDomain(rows.subspan(i * arity, arity));
     if (added != nullptr) added->push_back(g);
     ++data.num_rows;
     ++num_facts_;
+    ++committed;
   }
-
-  // Stage 4 (parallel): materialize the string tuples of the committed
-  // rows, chunked so a small commit costs no pool dispatch (delta rounds
-  // are frequently tens of rows). Interner::NameOf is shared-lock
-  // thread-safe; slot j is written by exactly one task.
-  const std::size_t tuple_base = data.tuples.size();
-  data.tuples.resize(tuple_base + surv.size());
-  constexpr std::size_t kTupleChunk = 1024;
-  ParallelFor(exec, (surv.size() + kTupleChunk - 1) / kTupleChunk,
-              [&](std::size_t chunk) {
-                const std::size_t lo = chunk * kTupleChunk;
-                const std::size_t hi =
-                    std::min(surv.size(), lo + kTupleChunk);
-                for (std::size_t j = lo; j < hi; ++j) {
-                  const std::span<const ValueId> key = rows.subspan(
-                      static_cast<std::size_t>(surv[j]) * arity, arity);
-                  Tuple t;
-                  t.reserve(arity);
-                  for (ValueId v : key) t.push_back(pool_->NameOf(v));
-                  data.tuples[tuple_base + j] = std::move(t);
-                }
-              });
-  return surv.size();
+  return committed;
 }
 
 bool Database::HasRow(RelationId rel, std::span<const ValueId> row) const {
@@ -732,7 +695,28 @@ bool Database::HasFact(const std::string& relation, const Tuple& tuple) const {
 const std::vector<Tuple>& Database::Facts(const std::string& relation) const {
   static const std::vector<Tuple>* const kEmpty = new std::vector<Tuple>();
   const RelationData* data = FindRelation(pool_->Find(relation));
-  return data == nullptr ? *kEmpty : data->tuples;
+  if (data == nullptr) return *kEmpty;
+  Memoize([&] { return data->tuples.size() == data->num_rows; }, [&] {
+    const RowView rows = Rows(data->id);
+    for (auto r = static_cast<std::uint32_t>(data->tuples.size());
+         r < data->num_rows; ++r) {
+      Tuple& t = data->tuples.emplace_back();
+      t.reserve(data->arity);
+      for (std::size_t k = 0; k < data->arity; ++k) {
+        t.push_back(pool_->NameOf(rows[r][k]));
+      }
+    }
+  });
+  return data->tuples;
+}
+
+const std::vector<Value>& Database::ActiveDomain() const {
+  Memoize([&] { return domain_.size() == domain_ids_list_.size(); }, [&] {
+    for (std::size_t i = domain_.size(); i < domain_ids_list_.size(); ++i) {
+      domain_.push_back(pool_->NameOf(domain_ids_list_[i]));
+    }
+  });
+  return domain_;
 }
 
 std::size_t Database::NumRows(RelationId rel) const {
@@ -1032,13 +1016,7 @@ DatabaseShardStats Database::shard_stats() const {
 }
 
 const std::vector<std::string>& Database::Relations() const {
-  {
-    std::shared_lock<std::shared_mutex> lock(memo_mu_.mu);
-    if (!relations_dirty_) return relations_cache_;
-  }
-  std::unique_lock<std::shared_mutex> lock(memo_mu_.mu);
-  memo_exclusive_locks_.v.fetch_add(1, std::memory_order_relaxed);
-  if (relations_dirty_) {
+  Memoize([&] { return !relations_dirty_; }, [&] {
     relations_cache_.clear();
     relations_cache_.reserve(rels_.size());
     for (const RelationData& data : rels_) {
@@ -1046,13 +1024,22 @@ const std::vector<std::string>& Database::Relations() const {
     }
     std::sort(relations_cache_.begin(), relations_cache_.end());
     relations_dirty_ = false;
-  }
+  });
   return relations_cache_;
 }
 
 void Database::UnionWith(const Database& other) {
+  std::vector<ValueId> row;
   for (const RelationData& data : other.rels_) {
-    for (const Tuple& t : data.tuples) AddFact(data.name, t);
+    const RelationId rel = pool_->Intern(data.name);
+    const RowView rows = other.Rows(data.id);
+    for (std::uint32_t r = 0; r < data.num_rows; ++r) {
+      row.clear();
+      for (std::size_t k = 0; k < data.arity; ++k) {
+        row.push_back(pool_->Intern(other.ValueName(rows[r][k])));
+      }
+      AddRow(rel, row);
+    }
   }
 }
 

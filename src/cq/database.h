@@ -154,12 +154,14 @@ struct DatabaseShardStats {
 /// ## Thread safety
 ///
 /// All const probing entry points (`Probe`, `ProbeMany`, `Facts`, `Row`,
-/// `HasFact`, `HasRow`, `Relations`, `ValueIdOf`, ...) may be called
-/// concurrently from multiple threads *as long as no thread mutates the
-/// database* (`AddFact`, `AddRow`, `AddRowBatch`, `UnionWith`, `Reshard`)
-/// at the same time — the memoized lazy index builds behind `Probe` are
-/// guarded by an internal shared mutex (shared lock on the probe hot
-/// path, exclusive lock only while a missing or stale index is built;
+/// `HasFact`, `HasRow`, `Relations`, `ActiveDomain`, `ValueIdOf`, ...) may
+/// be called concurrently from multiple threads *as long as no thread
+/// mutates the database* (`AddFact`, `AddRow`, `AddRowBatch`, `UnionWith`,
+/// `Reshard`) at the same time — the memoized lazy index builds behind
+/// `Probe` and the lazily materialized strings behind `Facts`,
+/// `ActiveDomain` and `Relations` are guarded by an internal shared mutex
+/// (shared lock on the read hot path, exclusive lock only while a missing
+/// or stale index or string view is built;
 /// `memo_exclusive_locks()` counts the exclusive acquisitions so tests
 /// can pin "probe-only workloads take none") and the index statistics are
 /// striped atomics, so probes of an already-built index never serialize
@@ -179,14 +181,14 @@ class Database {
 
   /// Adds a fact; duplicate facts are ignored. Returns true if new. Every
   /// fact of a relation must have the same arity (checked; the parser
-  /// rejects mixed-arity input before it gets here).
-  bool AddFact(const std::string& relation, Tuple tuple);
+  /// rejects mixed-arity input before it gets here). Only the interned row
+  /// is stored: `Facts` renders the strings back when it is read.
+  bool AddFact(const std::string& relation, const Tuple& tuple);
 
   /// Adds a fact given as pool ids: `rel` must be the pool id of the
   /// relation name and every value of `row` a valid pool id. Returns true
-  /// if new. This is the allocation-free twin of AddFact used by the
-  /// semi-naive merge (the string tuple is materialized internally so
-  /// `Facts` stays consistent).
+  /// if new. This is the string-free twin of AddFact used by the
+  /// semi-naive merge.
   bool AddRow(RelationId rel, std::span<const ValueId> row);
 
   /// Batched, shard-parallel AddRow: deduplicates `rows` (candidate rows
@@ -202,8 +204,8 @@ class Database {
   /// `exec.threads > 1` and `shard_count() > 1` the dedup/claim pass runs
   /// one task per shard (each shard's candidates are claimed into that
   /// shard's private probe table and arena, no shared locks), global row
-  /// numbering is assigned in one cheap serial pass, and posting/tuple
-  /// materialization fans back out per shard. Counts `rows.size()/arity`
+  /// numbering is assigned in one cheap serial pass. No strings are built
+  /// (see `Facts`). Counts `rows.size()/arity`
   /// probes (one dedup lookup per candidate, mirroring the per-key
   /// ProbeMany contract). Exclusive: the caller must not probe or mutate
   /// the database concurrently with this call.
@@ -219,7 +221,11 @@ class Database {
   /// allocation).
   bool HasRow(RelationId rel, std::span<const ValueId> row) const;
 
-  /// Tuples of `relation` (empty if the relation has no facts).
+  /// Tuples of `relation` in insertion order (empty if the relation has no
+  /// facts). The strings are rendered from the rows on first read, and a
+  /// later read renders only the rows added since; rows stay the only
+  /// storage mutators keep up to date. The reference stays valid until the
+  /// next mutation.
   const std::vector<Tuple>& Facts(const std::string& relation) const;
 
   /// Pool id of `v`, or `kNoValue` if `v` was never interned in the pool.
@@ -337,7 +343,8 @@ class Database {
   }
 
   /// Number of exclusive acquisitions of the internal memo lock so far
-  /// (lazy index builds and catch-ups, relations-cache rebuilds). Probing
+  /// (lazy index builds and catch-ups, relations-cache rebuilds, string
+  /// catch-ups of `Facts` and `ActiveDomain`). Probing
   /// already-built indexes never takes it: tests pin that a probe-only
   /// workload leaves this counter unchanged. Diagnostic, deterministic
   /// only for serial runs (under parallelism, racing builders may both
@@ -390,10 +397,12 @@ class Database {
   const std::vector<RelationId>& RelationIds() const { return rel_ids_; }
 
   /// All values occurring in any fact (the active domain), in first-
-  /// occurrence order. Maintained incrementally by AddFact; never rebuilt.
-  const std::vector<Value>& ActiveDomain() const { return domain_; }
+  /// occurrence order. Rendered from `ActiveDomainIds()` on read, extended
+  /// by the values added since the last read; never rebuilt.
+  const std::vector<Value>& ActiveDomain() const;
 
-  /// Pool ids of `ActiveDomain()`, parallel to it.
+  /// Pool ids of the active domain, in `ActiveDomain()` order. Maintained
+  /// eagerly by every mutator.
   const std::vector<ValueId>& ActiveDomainIds() const { return domain_ids_list_; }
 
   std::size_t NumFacts() const { return num_facts_; }
@@ -464,7 +473,8 @@ class Database {
     RelationId id = kNoRelation;
     std::size_t arity = 0;
     std::size_t num_rows = 0;
-    std::vector<Tuple> tuples;
+    // Facts() strings: a prefix of the rows, extended on read.
+    mutable std::vector<Tuple> tuples;
     // The hash-sharded arenas + primary tables (size = shard_count_), the
     // global→(shard, local) row directory (P > 1 only), and the
     // relation-global lazy per-mask probe tables.
@@ -474,10 +484,10 @@ class Database {
   };
 
   // Guards the mutable memoized state reachable from const methods (lazy
-  // index builds, the relations cache). Probes of already-built indexes
-  // take the lock shared; building or extending an index takes it
-  // exclusive (counted in memo_exclusive_locks_). Copying a Database
-  // copies the data but not the mutex.
+  // index builds, the relations cache, the Facts/ActiveDomain strings).
+  // Reads of up-to-date state take the lock shared; building or extending
+  // it takes it exclusive (counted in memo_exclusive_locks_). Copying a
+  // Database copies the data but not the mutex.
   struct UncopiedMutex {
     std::shared_mutex mu;
     UncopiedMutex() = default;
@@ -557,10 +567,14 @@ class Database {
   const RelationData* FindRelation(RelationId rel) const;
   RelationData& EnsureRelation(RelationId rel);
 
-  // Shared AddFact/AddRow core; `tuple` (optional) donates the string
-  // tuple, otherwise it is materialized from the pool.
-  bool AddRowInternal(RelationData& data, std::span<const ValueId> row,
-                      Tuple* tuple);
+  // Folds the values of a committed row into the active-domain ids.
+  void NoteDomain(std::span<const ValueId> row);
+
+  // Runs `refresh` under the exclusive memo lock unless `fresh()` already
+  // holds under the shared one: the read path of Relations, Facts and
+  // ActiveDomain.
+  template <typename Fresh, typename Refresh>
+  void Memoize(Fresh fresh, Refresh refresh) const;
 
   // The calling thread's counter stripe (by pool worker id).
   AtomicIndexStats& stats_stripe() const;
@@ -625,9 +639,9 @@ class Database {
   std::deque<RelationData> rels_;          // stable refs; first-fact order
   std::vector<std::int32_t> rel_slot_;     // pool id -> index in rels_, or -1
   std::vector<RelationId> rel_ids_;        // parallel to rels_
-  std::vector<Value> domain_;              // first-occurrence order
-  std::vector<ValueId> domain_ids_list_;   // parallel to domain_
-  std::unordered_set<ValueId> domain_ids_; // membership for domain_
+  mutable std::vector<Value> domain_;      // prefix of domain_ids_list_
+  std::vector<ValueId> domain_ids_list_;   // first-occurrence order
+  std::unordered_set<ValueId> domain_ids_; // membership for the list
   mutable std::vector<std::string> relations_cache_;
   mutable bool relations_dirty_ = true;
   mutable std::array<AtomicIndexStats, kStatStripes> index_stats_;

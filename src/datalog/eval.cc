@@ -569,15 +569,14 @@ Result<std::vector<Tuple>> EvaluateGoal(const DatalogProgram& program,
                                         DatalogEvalStats* stats) {
   QCONT_ASSIGN_OR_RETURN(Database all,
                          EvaluateProgram(program, edb, options, stats));
-  const std::vector<Tuple>& facts = all.Facts(program.goal_predicate());
-  const std::size_t n = facts.size();
   const RelationId goal = all.RelationIdOf(program.goal_predicate());
-  const std::size_t arity = goal == kNoRelation ? 0 : all.Arity(goal);
-  if (n <= 1 || arity == 0) return facts;
-  // Sorting the string tuples directly costs a string compare per
-  // comparison; instead rank the distinct values by name once and sort the
-  // interned rows under that rank — element-wise it is the same order, so
-  // the output is byte-identical to std::sort over the tuples.
+  const std::size_t n = all.NumRows(goal);
+  const std::size_t arity = all.Arity(goal);
+  // Sorting string tuples costs a string compare per comparison; instead
+  // rank the distinct values by name once and sort the interned rows under
+  // that rank — element-wise it is the same order, so the output is
+  // byte-identical to std::sort over the tuples. Strings are built only
+  // for the output, from the ranked names.
   std::unordered_map<ValueId, std::uint32_t> rank;
   for (std::size_t r = 0; r < n; ++r) {
     for (const ValueId v : all.Row(goal, r)) rank.emplace(v, 0);
@@ -605,9 +604,14 @@ Result<std::vector<Tuple>> EvaluateGoal(const DatalogProgram& program,
               return std::lexicographical_compare(ka, ka + arity, kb,
                                                   kb + arity);
             });
-  std::vector<Tuple> out;
-  out.reserve(n);
-  for (const std::uint32_t r : order) out.push_back(facts[r]);
+  std::vector<Tuple> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t* key = keys.data() + order[i] * arity;
+    out[i].reserve(arity);
+    for (std::size_t j = 0; j < arity; ++j) {
+      out[i].emplace_back(named[key[j]].first);
+    }
+  }
   return out;
 }
 

@@ -1,7 +1,21 @@
 #include "server/plan_cache.h"
 
+#include "server/json.h"
+
 namespace qcont {
 namespace server {
+
+CachedEval::CachedEval(const std::vector<Tuple>& tuples) : tuples_json("[") {
+  for (std::size_t i = 0; i < tuples.size(); ++i) {
+    tuples_json += i > 0 ? ",[" : "[";
+    for (std::size_t j = 0; j < tuples[i].size(); ++j) {
+      if (j > 0) tuples_json += ",";
+      tuples_json.append("\"").append(JsonEscape(tuples[i][j])).append("\"");
+    }
+    tuples_json += "]";
+  }
+  tuples_json += "]";
+}
 
 PlanCache::PlanCache(PlanCacheConfig config)
     : obs_(config.obs),

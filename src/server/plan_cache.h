@@ -38,10 +38,12 @@ struct CachedVerdict {
   std::optional<std::string> counterexample_db;  // canonical DB of θ_τ
 };
 
-/// A memoized evaluation result: the goal tuples of Π(D), keyed by
-/// (program_hash, canonical database hash).
+/// A memoized evaluation result: the goal tuples of Π(D), rendered once
+/// as the response's `tuples` JSON array, keyed by (program_hash,
+/// canonical database hash). Every hit reuses the bytes.
 struct CachedEval {
-  std::vector<Tuple> tuples;
+  explicit CachedEval(const std::vector<Tuple>& tuples);
+  std::string tuples_json;
 };
 
 /// Aggregate counters across all four entry kinds. `entries` is the

@@ -106,20 +106,6 @@ Result<UnionQuery> MinimizeUcq(const UnionQuery& ucq) {
   return UnionQuery(std::move(kept));
 }
 
-std::string TuplesToJson(const std::vector<Tuple>& tuples) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < tuples.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "[";
-    for (std::size_t j = 0; j < tuples[i].size(); ++j) {
-      if (j > 0) out += ",";
-      out += "\"" + JsonEscape(tuples[i][j]) + "\"";
-    }
-    out += "]";
-  }
-  return out + "]";
-}
-
 /// A request after JSON decoding and input parsing, carrying everything
 /// the execution phase needs plus the canonical work key that batch-level
 /// coalescing groups by.
@@ -431,15 +417,13 @@ Outcome RunEval(const ServerOptions& options, PlanCache& cache,
     eval.obs = options.obs;
     auto tuples = EvaluateGoal(*p.program, db, eval);
     if (!tuples.ok()) return Outcome::Error(tuples.status());
-    CachedEval built;
-    built.tuples = std::move(*tuples);
-    cache.InsertEval(key, built);
-    cached = std::move(built);
+    cached.emplace(*tuples);
+    cache.InsertEval(key, *cached);
   }
   Outcome out;
   out.cache = cache_marker;
   out.result_json = "{\"goal\":\"" + JsonEscape(p.program->goal_predicate()) +
-                    "\",\"tuples\":" + TuplesToJson(cached->tuples) + "}";
+                    "\",\"tuples\":" + cached->tuples_json + "}";
   return out;
 }
 

@@ -34,7 +34,9 @@ inline std::vector<std::pair<std::string, Tuple>> RandomFacts(
     const auto& [name, arity] = schema.relations[(*rng)() % schema.relations.size()];
     Tuple t;
     for (int j = 0; j < arity; ++j) {
-      t.push_back("v" + std::to_string((*rng)() % domain));
+      std::string v = "v";  // not "v" + ...: GCC 12 -Wrestrict false positive
+      v += std::to_string((*rng)() % domain);
+      t.push_back(std::move(v));
     }
     out.emplace_back(name, std::move(t));
   }

@@ -194,6 +194,47 @@ TEST(ServerTest, ReplayIsDeterministicAcrossThreadCounts) {
   EXPECT_EQ(runs[0], runs[1]) << "threads=1 and threads=8 replies differ";
 }
 
+// The eval cache keeps each answer as its rendered "tuples" bytes: a miss,
+// a later hit, and runs at 1 and 8 threads must all emit the same response,
+// including a database constant that needs JSON escaping.
+TEST(ServerTest, EvalResponsesAreByteIdenticalOnMissAndHit) {
+  const std::vector<std::string> requests = {
+      R"({"id":1,"op":"eval","program":"t(x,y) :- e(x,y). t(x,y) :- e(x,z), t(z,y). goal t.","database":"e('x\"y',b). e(b,c). e(c,'x\"y')."})",
+      R"({"id":2,"op":"eval","program":"g(x) :- e(x,y). goal g.","database":"e(b,a). e(a,b). e(a,c)."})",
+  };
+  std::vector<std::string> reference;
+  for (int threads : {1, 8}) {
+    ServerOptions options;
+    options.threads = threads;
+    Server server(options);
+    const std::vector<std::string> misses = server.HandleBatch(requests);
+    const std::vector<std::string> hits = server.HandleBatch(requests);
+    ASSERT_EQ(misses.size(), requests.size());
+    ASSERT_EQ(hits.size(), requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      std::string miss = StripElapsed(misses[i]);
+      std::string hit = StripElapsed(hits[i]);
+      const std::string::size_type at = miss.find("\"cache\":\"miss\"");
+      ASSERT_NE(at, std::string::npos) << miss;
+      ASSERT_EQ(hit.find("\"cache\":\"hit\""), at) << hit;
+      miss.replace(at, 14, "\"cache\":\"hit\"");
+      EXPECT_EQ(miss, hit) << "threads=" << threads;
+    }
+    // e is the 3-cycle b -> c -> x"y -> b, so t holds all nine pairs.
+    EXPECT_NE(hits[0].find(R"("tuples":[["b","b"],["b","c"],["b","x\"y"],)"
+                           R"(["c","b"],["c","c"],["c","x\"y"],["x\"y","b"],)"
+                           R"(["x\"y","c"],["x\"y","x\"y"]])"),
+              std::string::npos)
+        << hits[0];
+    EXPECT_NE(hits[1].find(R"("tuples":[["a"],["b"]])"), std::string::npos)
+        << hits[1];
+    std::vector<std::string> stripped;
+    for (const std::string& r : hits) stripped.push_back(StripElapsed(r));
+    if (reference.empty()) reference = stripped;
+    EXPECT_EQ(stripped, reference) << "threads=" << threads;
+  }
+}
+
 // Work items of one batch can share a cache key without sharing a
 // coalescing key: a containment and an analyze over the same Π/Θ both use
 // the analysis shard, and two containments whose queries minimize to the
@@ -214,7 +255,9 @@ TEST(ServerTest, CacheMarkersIgnoreSameBatchInsertsAcrossWorkItems) {
       R"({"id":4,"op":"containment","program":"g(x,y) :- e(x,y). goal g.","query":"Q(x,y) :- e(x,y). Q(u,v) :- e(u,w), e(w,v)."})",
   };
   for (int threads : {1, 8}) {
-    Server server(ServerOptions{.threads = threads});
+    ServerOptions options;
+    options.threads = threads;
+    Server server(options);
     std::vector<std::string> responses = server.HandleBatch(requests);
     ASSERT_EQ(responses.size(), requests.size());
     for (const std::string& r : responses) {
@@ -278,7 +321,9 @@ TEST(ServerTest, RepeatedProgramSharesArtifactAcrossBatches) {
           R"(","query":"Q(x,y) :- e(x,y), e(y,z), e(z,x), e(x,x)."})",
   };
   for (int threads : {1, 8}) {
-    Server server(ServerOptions{.threads = threads});
+    ServerOptions options;
+    options.threads = threads;
+    Server server(options);
     for (const std::string& r : server.HandleBatch(first)) {
       EXPECT_NE(r.find("\"cache\":\"miss\""), std::string::npos) << r;
     }

@@ -13,9 +13,11 @@ Four gates, all of which must hold:
 
   2. Oracle: every "ok" response is re-checked against the one-shot CLI —
      `qcont_cli contains` exit code vs `result.contained`, `qcont_cli eval`
-     tuples vs `result.tuples`, `qcont_cli analyze --json` report vs
-     `result.report`. The server's cache and coalescing must never change a
-     verdict.
+     tuples vs `result.tuples` as a set, `qcont_cli analyze --json` report
+     vs `result.report`. The server's cache and coalescing must never change
+     a verdict. Eval tuples must also arrive already sorted (the
+     `EvaluateGoal` contract), whether rendered on a miss or replayed from
+     the eval cache.
 
   3. Cache hit rate: requests tagged `"note": "dup"` (the duplicate /
      alpha-renamed tail of the replay file) must answer from cache — cache
@@ -152,10 +154,14 @@ def check_oracle(cli, request, response, index):
                 return fail(f"response {index}: oracle errored "
                             f"(exit {code}): {err.strip()}")
             oracle = parse_cli_tuples(out)
-            got = sorted(result.get("tuples", []))
+            emitted = result.get("tuples", [])
+            got = sorted(emitted)
             if got != oracle:
                 return fail(f"response {index}: tuples {got} != oracle "
                             f"{oracle}")
+            if emitted != got:
+                return fail(f"response {index}: tuples not emitted in "
+                            f"sorted order: {emitted}")
         elif op == "analyze":
             texts = [request["query"]]
             if "program" in request:
