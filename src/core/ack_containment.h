@@ -42,6 +42,10 @@ struct AckEngineLimits {
   /// `ack/run` and `ack/round` spans and publishes the `ack.*` metrics
   /// listed on AckEngineStats.
   const ObsContext* obs = nullptr;
+  /// Π-only kind-space reuse (borrowed, optional; program_artifact_cache.h).
+  /// The engine fetches-or-builds its ProgramArtifact here; without a cache
+  /// it builds a private one per call. Same answers and counters either way.
+  ProgramArtifactCache* artifact_cache = nullptr;
 };
 
 /// Decides CONT(Datalog, ACk): is Π ⊆ Θ for an *acyclic* UCQ Θ?

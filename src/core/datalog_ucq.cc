@@ -87,10 +87,11 @@ Result<DisjunctInfo> BuildDisjunctInfo(const ConjunctiveQuery& cq) {
 // ---------------------------------------------------------------------------
 
 // An element (A, f): A = bitmask of matched atoms, f = per-variable interface
-// position (index into the subtree root's head tuple) or -1.
+// position (index into the subtree root's head tuple) or -1. Positions are
+// plain ints, so heads of any arity are addressable.
 struct Element {
   std::uint64_t atoms = 0;
-  std::vector<std::int8_t> f;
+  std::vector<int> f;
 
   friend bool operator<(const Element& a, const Element& b) {
     if (a.atoms != b.atoms) return a.atoms < b.atoms;
@@ -100,6 +101,21 @@ struct Element {
 
 using ElementSet = std::set<Element>;
 
+// Appends interface position `x` (-1: unmapped) to a canonical form, one
+// byte when small and an escape byte plus four bytes otherwise, so the
+// encoding is injective for every head arity.
+void AppendPosition(std::string* out, int x) {
+  const auto v = static_cast<std::uint32_t>(x + 1);
+  if (v < 255) {
+    out->push_back(static_cast<char>(v));
+    return;
+  }
+  out->push_back(static_cast<char>(255));
+  for (int shift = 0; shift < 32; shift += 8) {
+    out->push_back(static_cast<char>((v >> shift) & 0xff));
+  }
+}
+
 // The exact set of realizable elements of a subtree, per disjunct.
 struct SubtreeType {
   std::vector<ElementSet> per_disjunct;
@@ -107,11 +123,13 @@ struct SubtreeType {
   std::string Canonical() const {
     std::string out;
     for (std::size_t d = 0; d < per_disjunct.size(); ++d) {
-      out += "#" + std::to_string(d) + ";";
+      out += '#';
+      out += std::to_string(d);
+      out += ';';
       for (const Element& e : per_disjunct[d]) {
         out += std::to_string(e.atoms);
         out += ':';
-        for (std::int8_t x : e.f) out += static_cast<char>('A' + (x + 1));
+        for (int x : e.f) AppendPosition(&out, x);
         out += ',';
       }
     }
@@ -517,7 +535,7 @@ class TypeEngine {
       QCONT_CHECK_MSG(sigma[v] != -1, "live variable without binding");
       // head_pos is the precomputed first-occurrence scan of rule.head.
       const std::size_t w = static_cast<std::size_t>(sigma[v]);
-      const std::int8_t pos = w < pre.head_pos.size() ? pre.head_pos[w] : -1;
+      const int pos = w < pre.head_pos.size() ? pre.head_pos[w] : -1;
       if (pos < 0) return;  // live variable buried below the interface
       e.f[v] = pos;
     }
@@ -536,7 +554,7 @@ class TypeEngine {
         bool ok = true;
         for (std::size_t i = 0; i < info.head.size() && ok; ++i) {
           int v = info.head[i];
-          std::int8_t p = e.f[v];
+          const int p = e.f[v];
           if (p < 0 || pattern[p] != pattern[i]) ok = false;
         }
         if (ok) return true;
@@ -571,11 +589,8 @@ Result<ContainmentAnswer> DatalogContainedInUcq(
   // frozen-artifact code, so results and counters never depend on which
   // path was taken.
   std::shared_ptr<const ProgramArtifact> artifact = options.artifact;
-  if (artifact == nullptr && options.artifact_cache != nullptr) {
-    artifact = options.artifact_cache->GetOrBuild(program);
-  }
   if (artifact == nullptr) {
-    artifact = ProgramArtifact::Build(program, options.obs);
+    artifact = GetOrBuildArtifact(program, options.artifact_cache, options.obs);
   }
   TypeEngine engine(std::move(artifact), ucq, stats, options);
   return engine.Run();

@@ -1,7 +1,7 @@
 #include "core/instantiate.h"
 
+#include <algorithm>
 #include <functional>
-#include <set>
 #include <unordered_map>
 
 #include "base/check.h"
@@ -24,6 +24,7 @@ int KindSpace::GetKind(const KindKey& key) {
 }
 
 void KindSpace::InstantiatePending() {
+  QCONT_CHECK_MSG(program_ != nullptr, "kind discovery on a frozen KindSpace");
   while (!pending_.empty()) {
     int id = pending_.back();
     pending_.pop_back();
@@ -31,7 +32,7 @@ void KindSpace::InstantiatePending() {
     instantiated_[id] = true;
     KindKey key = keys_[id];  // copy: vectors may grow below
     std::vector<InstRule> rules;
-    for (int r : program_.RulesFor(key.pred)) {
+    for (int r : program_->RulesFor(key.pred)) {
       std::optional<InstRule> inst = Instantiate(r, key.pattern);
       if (inst.has_value()) rules.push_back(std::move(*inst));
     }
@@ -41,7 +42,7 @@ void KindSpace::InstantiatePending() {
 
 std::optional<InstRule> KindSpace::Instantiate(int r,
                                                const std::vector<int>& pattern) {
-  const Rule& rule = program_.rules()[r];
+  const Rule& rule = program_->rules()[r];
   std::vector<std::string> vars = rule.Variables();
   std::unordered_map<std::string, int> var_index;
   for (std::size_t i = 0; i < vars.size(); ++i) {
@@ -79,7 +80,7 @@ std::optional<InstRule> KindSpace::Instantiate(int r,
     for (const Term& t : atom.terms()) {
       terms.push_back(find(var_index.at(t.name())));
     }
-    if (program_.IsIntensional(atom.predicate())) {
+    if (program_->IsIntensional(atom.predicate())) {
       KindKey child_key{atom.predicate(), PatternOf(terms)};
       // Note: GetKind may be re-entered; the pending_ worklist serializes
       // instantiation, so just record the id here.
@@ -104,13 +105,14 @@ std::optional<InstRule> KindSpace::Instantiate(int r,
 }
 
 std::vector<int> KindSpace::RootKinds() {
+  QCONT_CHECK_MSG(program_ != nullptr, "kind discovery on a frozen KindSpace");
   std::vector<int> out;
-  for (int r : program_.RulesFor(program_.goal_predicate())) {
+  for (int r : program_->RulesFor(program_->goal_predicate())) {
     std::vector<std::string> head_names;
-    for (const Term& t : program_.rules()[r].head.terms()) {
+    for (const Term& t : program_->rules()[r].head.terms()) {
       head_names.push_back(t.name());
     }
-    int id = GetKind(KindKey{program_.goal_predicate(), PatternOf(head_names)});
+    int id = GetKind(KindKey{program_->goal_predicate(), PatternOf(head_names)});
     bool seen = false;
     for (int existing : out) seen = seen || existing == id;
     if (!seen) out.push_back(id);
@@ -126,7 +128,8 @@ ConjunctiveQuery BuildWitnessCq(
   const std::vector<int>& pattern = kinds.KeyOf(root_kind).pattern;
   std::vector<std::string> head_names(pattern.size());
   for (std::size_t i = 0; i < pattern.size(); ++i) {
-    head_names[i] = "x" + std::to_string(pattern[i]);
+    head_names[i] = 'x';
+    head_names[i] += std::to_string(pattern[i]);
   }
   std::function<void(int, long, const std::vector<std::string>&)> collect =
       [&](int kind_id, long token, const std::vector<std::string>& names_in) {
@@ -138,7 +141,10 @@ ConjunctiveQuery BuildWitnessCq(
         }
         auto name_of = [&](int w) -> const std::string& {
           auto [it, inserted] = names.emplace(w, "");
-          if (inserted) it->second = "v" + std::to_string(fresh++);
+          if (inserted) {
+            it->second = 'v';
+            it->second += std::to_string(fresh++);
+          }
           return it->second;
         };
         for (const auto& [pred, terms] : rule.edb_atoms) {
@@ -161,9 +167,10 @@ ConjunctiveQuery BuildWitnessCq(
     head.push_back(Term::Variable(name));
   }
   std::vector<Atom> dedup;
-  std::set<std::string> seen;
   for (Atom& a : atoms) {
-    if (seen.insert(a.ToString()).second) dedup.push_back(std::move(a));
+    if (std::find(dedup.begin(), dedup.end(), a) == dedup.end()) {
+      dedup.push_back(std::move(a));
+    }
   }
   return ConjunctiveQuery(std::move(head), std::move(dedup));
 }

@@ -63,7 +63,7 @@ struct InstRule {
 /// discovered transitively.
 class KindSpace {
  public:
-  explicit KindSpace(const DatalogProgram& program) : program_(program) {}
+  explicit KindSpace(const DatalogProgram& program) : program_(&program) {}
 
   /// Returns the id of `key`, discovering and instantiating it (and,
   /// transitively, every kind reachable from it) on first use.
@@ -81,11 +81,16 @@ class KindSpace {
   /// containment test).
   std::vector<int> RootKinds();
 
+  /// Drops the program reference. The instantiated rules and keys carry
+  /// their own data, so a fully expanded space serves every read without
+  /// the program; discovering a kind afterwards is a checked error.
+  void Freeze() { program_ = nullptr; }
+
  private:
   void InstantiatePending();
   std::optional<InstRule> Instantiate(int rule, const std::vector<int>& pattern);
 
-  const DatalogProgram& program_;
+  const DatalogProgram* program_;  // null once frozen
   std::map<KindKey, int> ids_;
   std::vector<KindKey> keys_;
   std::vector<std::vector<InstRule>> rules_;

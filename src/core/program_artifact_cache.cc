@@ -30,26 +30,31 @@ std::size_t RuleBytes(const internal::InstRule& rule) {
 
 std::shared_ptr<const ProgramArtifact> ProgramArtifact::Build(
     const DatalogProgram& program, const ObsContext* obs) {
+  return Build(program, analysis::CanonicalProgramHash(program), obs);
+}
+
+std::shared_ptr<const ProgramArtifact> ProgramArtifact::Build(
+    const DatalogProgram& program, std::uint64_t program_hash,
+    const ObsContext* obs) {
   ObsSpan span(obs, "typeengine/artifact_build", "core");
   // Cannot use std::make_shared: the constructor is private and the object
   // is published as a shared_ptr-to-const.
   std::shared_ptr<ProgramArtifact> artifact(new ProgramArtifact());
-  artifact->program_ = std::make_unique<const DatalogProgram>(program);
-  artifact->program_hash_ = analysis::CanonicalProgramHash(program);
-  // The kind space must reference the artifact's own program copy so the
-  // frozen InstRules stay valid after the caller's program is destroyed.
-  artifact->kinds_ = std::make_unique<internal::KindSpace>(*artifact->program_);
+  artifact->program_hash_ = program_hash;
+  artifact->kinds_ = std::make_unique<internal::KindSpace>(program);
   // RootKinds discovers, transitively, every kind reachable from the goal
   // rules — after this call the space is fully expanded and never mutated
-  // again (the engine only reads it).
+  // again (the engine only reads it), so it lets go of the caller's
+  // program.
   artifact->root_kinds_ = artifact->kinds_->RootKinds();
+  artifact->kinds_->Freeze();
 
   // Dense EDB predicate ids in first-seen rule order (deterministic for a
   // fixed program text; the ids are artifact-local, never compared across
   // artifacts).
-  for (const Rule& rule : artifact->program_->rules()) {
+  for (const Rule& rule : program.rules()) {
     for (const Atom& atom : rule.body) {
-      if (!artifact->program_->IsIntensional(atom.predicate())) {
+      if (!program.IsIntensional(atom.predicate())) {
         artifact->edb_pred_ids_.emplace(
             atom.predicate(),
             static_cast<int>(artifact->edb_pred_ids_.size()));
@@ -78,11 +83,11 @@ std::shared_ptr<const ProgramArtifact> ProgramArtifact::Build(
       for (int w : rule.head) max_rep = std::max(max_rep, w);
       pre[rp].head_pos.assign(static_cast<std::size_t>(max_rep + 1), -1);
       for (std::size_t p = 0; p < rule.head.size(); ++p) {
-        std::int8_t& pos = pre[rp].head_pos[rule.head[p]];
-        if (pos < 0) pos = static_cast<std::int8_t>(p);
+        int& pos = pre[rp].head_pos[rule.head[p]];
+        if (pos < 0) pos = static_cast<int>(p);
       }
       bytes += RuleBytes(rule) + VecBytes(pre[rp].edb_pred_ids) +
-               pre[rp].head_pos.capacity();
+               VecBytes(pre[rp].head_pos);
     }
   }
   artifact->bytes_ = bytes;
@@ -103,9 +108,9 @@ ProgramArtifactCache::ProgramArtifactCache(ProgramArtifactCacheConfig config)
 std::shared_ptr<const ProgramArtifact> ProgramArtifactCache::GetOrBuild(
     const DatalogProgram& program, bool* stable) {
   std::promise<std::shared_ptr<const ProgramArtifact>> promise;
+  const std::uint64_t hash = analysis::CanonicalProgramHash(program);
   auto [future, found] =
-      lru_.FindOrInsert(analysis::CanonicalProgramHash(program),
-                        promise.get_future().share(), stable);
+      lru_.FindOrInsert(hash, promise.get_future().share(), stable);
   ObsCount(config_.obs,
            found ? "typeengine.artifact.hits" : "typeengine.artifact.misses",
            1);
@@ -115,7 +120,7 @@ std::shared_ptr<const ProgramArtifact> ProgramArtifactCache::GetOrBuild(
   // Waiters on this entry keep their shared_future even if it is evicted
   // or cleared before the build completes.
   std::shared_ptr<const ProgramArtifact> artifact =
-      ProgramArtifact::Build(program, config_.obs);
+      ProgramArtifact::Build(program, hash, config_.obs);
   promise.set_value(artifact);
   if (config_.capacity > 0) {
     ObsGauge(config_.obs, "typeengine.artifact.bytes", stats().bytes);
@@ -139,6 +144,13 @@ ProgramArtifactCacheStats ProgramArtifactCache::stats() const {
 void ProgramArtifactCache::Clear() {
   lru_.Clear();
   ObsGauge(config_.obs, "typeengine.artifact.bytes", 0);
+}
+
+std::shared_ptr<const ProgramArtifact> GetOrBuildArtifact(
+    const DatalogProgram& program, ProgramArtifactCache* cache,
+    const ObsContext* obs) {
+  if (cache != nullptr) return cache->GetOrBuild(program);
+  return ProgramArtifact::Build(program, obs);
 }
 
 }  // namespace qcont

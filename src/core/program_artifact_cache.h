@@ -32,7 +32,7 @@ namespace internal {
 /// without the precomputation.
 struct InstRulePrecomp {
   std::vector<int> edb_pred_ids;
-  std::vector<std::int8_t> head_pos;
+  std::vector<int> head_pos;
 };
 
 }  // namespace internal
@@ -49,7 +49,8 @@ struct InstRulePrecomp {
 /// immutable and safe to share across threads without synchronization
 /// (same contract as the storage epochs of ARCHITECTURE.md §7 — publish
 /// happens-before use via the shared_ptr / cache handoff). The artifact
-/// owns a private copy of the program, so it may outlive the caller's.
+/// keeps no reference to the program (the frozen kind space carries its
+/// own rules and names), so it may outlive the caller's.
 class ProgramArtifact {
  public:
   /// Expands the kind space of `program` (assumed valid) to its transitive
@@ -73,14 +74,18 @@ class ProgramArtifact {
   /// from — the cache key, invariant under alpha-renaming.
   std::uint64_t program_hash() const { return program_hash_; }
 
-  /// Rough resident size (vector payloads + program text), for the
+  /// Rough resident size (vector payloads and predicate names), for the
   /// `typeengine.artifact.bytes` gauge.
   std::size_t ApproxBytes() const { return bytes_; }
 
  private:
-  ProgramArtifact() = default;
+  friend class ProgramArtifactCache;  // builds with the hash it looked up
 
-  std::unique_ptr<const DatalogProgram> program_;
+  ProgramArtifact() = default;
+  static std::shared_ptr<const ProgramArtifact> Build(
+      const DatalogProgram& program, std::uint64_t program_hash,
+      const ObsContext* obs);
+
   std::unique_ptr<internal::KindSpace> kinds_;
   std::vector<int> root_kinds_;
   std::vector<std::vector<internal::InstRulePrecomp>> precomp_;
@@ -152,6 +157,13 @@ class ProgramArtifactCache {
   ProgramArtifactCacheConfig config_;
   LruCache<std::uint64_t, ArtifactFuture> lru_;
 };
+
+/// The engines' artifact resolution: fetched from `cache` when set, else
+/// built privately per call. Both run the same build code, so verdicts and
+/// counters never depend on which path was taken.
+std::shared_ptr<const ProgramArtifact> GetOrBuildArtifact(
+    const DatalogProgram& program, ProgramArtifactCache* cache,
+    const ObsContext* obs);
 
 }  // namespace qcont
 

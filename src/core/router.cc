@@ -32,10 +32,13 @@ Result<RoutedAnswer> DecideContainment(const DatalogProgram& program,
     analysis::RoutingOptions routing;
     routing.obs = options.obs;
     routing.use_cache = options.use_analysis_cache;
-    const analysis::AnalysisReport report =
-        options.report != nullptr
-            ? *options.report
-            : analysis::AnalyzeForRouting(program, ucq, routing);
+    // A caller-held report is read in place; only a fresh one is stored.
+    analysis::AnalysisReport fresh;
+    if (options.report == nullptr) {
+      fresh = analysis::AnalyzeForRouting(program, ucq, routing);
+    }
+    const analysis::AnalysisReport& report =
+        options.report != nullptr ? *options.report : fresh;
     const analysis::EngineKind engine =
         analysis::ChooseEngine(report, analysis::RoutingGoal::kContainment);
     route = engine == analysis::EngineKind::kAckEngine
@@ -51,6 +54,9 @@ Result<RoutedAnswer> DecideContainment(const DatalogProgram& program,
   if (route == ContainmentRoute::kAckEngine) {
     AckEngineLimits limits = options.ack;
     if (limits.obs == nullptr) limits.obs = options.obs;
+    if (limits.artifact_cache == nullptr) {
+      limits.artifact_cache = options.artifact_cache;
+    }
     AckEngineStats stats;
     QCONT_ASSIGN_OR_RETURN(
         out.answer, DatalogContainedInAcyclicUcq(program, ucq, &stats, limits));

@@ -56,11 +56,10 @@ struct RouterOptions {
   /// consults or populates the global analysis cache. Borrowed; must
   /// outlive the call.
   const analysis::AnalysisReport* report = nullptr;
-  /// Program-keyed kind-space memoization for the general route (optional,
-  /// borrowed; program_artifact_cache.h). Copied into
-  /// `general.artifact_cache` when that is unset, mirroring `obs` — so one
-  /// pointer serves whichever engine the router picks (the ACk route has no
-  /// type-engine expansion and ignores it).
+  /// Program-keyed kind-space memoization (optional, borrowed;
+  /// program_artifact_cache.h). Copied into `general.artifact_cache` and
+  /// `ack.artifact_cache` when those are unset, mirroring `obs` — so one
+  /// pointer serves whichever engine the router picks.
   ProgramArtifactCache* artifact_cache = nullptr;
 };
 

@@ -1,7 +1,6 @@
 #include "structure/classify.h"
 
 #include <algorithm>
-#include <set>
 #include <vector>
 
 #include "structure/decomposition.h"
@@ -12,24 +11,7 @@
 namespace qcont {
 
 int MaxSharedVariables(const ConjunctiveQuery& cq) {
-  std::vector<std::set<std::string>> var_sets;
-  var_sets.reserve(cq.atoms().size());
-  for (const Atom& a : cq.atoms()) {
-    std::set<std::string> vars;
-    for (const Term& t : a.Variables()) vars.insert(t.name());
-    var_sets.push_back(std::move(vars));
-  }
-  int best = 0;
-  for (std::size_t i = 0; i < var_sets.size(); ++i) {
-    for (std::size_t j = i + 1; j < var_sets.size(); ++j) {
-      std::vector<std::string> shared;
-      std::set_intersection(var_sets[i].begin(), var_sets[i].end(),
-                            var_sets[j].begin(), var_sets[j].end(),
-                            std::back_inserter(shared));
-      best = std::max(best, static_cast<int>(shared.size()));
-    }
-  }
-  return best;
+  return MaxSharedVertices(CqHypergraph(cq));
 }
 
 Result<CqClassification> ClassifyCq(const ConjunctiveQuery& cq) {

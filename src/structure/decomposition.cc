@@ -44,6 +44,21 @@ Hypergraph CqHypergraph(const ConjunctiveQuery& cq,
   return h;
 }
 
+int MaxSharedVertices(const Hypergraph& h) {
+  int best = 0;
+  std::vector<int> shared;
+  for (std::size_t i = 0; i < h.edges.size(); ++i) {
+    for (std::size_t j = i + 1; j < h.edges.size(); ++j) {
+      shared.clear();
+      std::set_intersection(h.edges[i].begin(), h.edges[i].end(),
+                            h.edges[j].begin(), h.edges[j].end(),
+                            std::back_inserter(shared));
+      best = std::max(best, static_cast<int>(shared.size()));
+    }
+  }
+  return best;
+}
+
 const char* DecompositionKindName(DecompositionKind kind) {
   switch (kind) {
     case DecompositionKind::kTree: return "tree";
@@ -133,23 +148,29 @@ Status VerifyTreeShape(const DecompositionCertificate& c,
     for (int v : c.bags[t]) (*bags_of_vertex)[v].push_back(t);
   }
   // Connectedness: the bags of each vertex must induce a connected subtree.
+  std::vector<char> member(n_bags, 0);
+  std::vector<char> reached(n_bags, 0);
+  std::vector<int> stack;
   for (int v = 0; v < c.num_vertices; ++v) {
     const std::vector<int>& mine = (*bags_of_vertex)[v];
     if (mine.empty()) continue;  // coverage is the caller's (kind-specific) job
-    std::set<int> mine_set(mine.begin(), mine.end());
-    std::set<int> reached = {mine.front()};
-    std::vector<int> stack = {mine.front()};
+    for (int t : mine) member[t] = 1;
+    std::size_t count = 1;
+    reached[mine.front()] = 1;
+    stack.assign(1, mine.front());
     while (!stack.empty()) {
       int t = stack.back();
       stack.pop_back();
       for (int s : tree[t]) {
-        if (mine_set.count(s) && !reached.count(s)) {
-          reached.insert(s);
+        if (member[s] && !reached[s]) {
+          reached[s] = 1;
+          ++count;
           stack.push_back(s);
         }
       }
     }
-    if (reached.size() != mine_set.size()) {
+    for (int t : mine) member[t] = reached[t] = 0;
+    if (count != mine.size()) {
       return InvalidArgumentError("certificate: bags of vertex " +
                                   std::to_string(v) +
                                   " are not connected in the tree");
@@ -257,18 +278,19 @@ Status VerifyCertificate(const DecompositionCertificate& c,
                                   std::to_string(e) + " contained in no bag");
     }
   }
-  // Cover condition: each bag lies inside the union of its cover edges.
+  // Cover condition: each bag lies inside the union of its cover edges
+  // (covered_by[v] == t marks v as covered for bag t).
+  std::vector<int> covered_by(static_cast<std::size_t>(c.num_vertices), -1);
   for (std::size_t t = 0; t < c.bags.size(); ++t) {
-    std::set<int> covered;
     for (int e : c.covers[t]) {
       if (e < 0 || e >= static_cast<int>(hypergraph.edges.size())) {
         return InvalidArgumentError("certificate: cover edge index out of range");
       }
-      covered.insert(hypergraph.edges[e].begin(), hypergraph.edges[e].end());
+      for (int v : hypergraph.edges[e]) covered_by[v] = static_cast<int>(t);
     }
     for (int v : c.bags[t]) {
       if (!in_some_edge[v]) continue;  // isolated vertices need no cover
-      if (!covered.count(v)) {
+      if (covered_by[v] != static_cast<int>(t)) {
         return InvalidArgumentError(
             "certificate: bag " + std::to_string(t) + " vertex " +
             std::to_string(v) + " not covered by its hyperedges");
@@ -552,7 +574,11 @@ DecompositionCertificate DecomposeHypergraph(const Hypergraph& h,
 
 Result<DecompositionCertificate> CertificateFromJoinTree(
     const ConjunctiveQuery& cq, const JoinTree& join_tree) {
-  Hypergraph h = CqHypergraph(cq);
+  return CertificateFromJoinTree(CqHypergraph(cq), join_tree);
+}
+
+Result<DecompositionCertificate> CertificateFromJoinTree(
+    const Hypergraph& h, const JoinTree& join_tree) {
   if (join_tree.parent.size() != h.edges.size()) {
     return InternalError("join tree size does not match the query");
   }

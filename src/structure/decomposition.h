@@ -147,6 +147,12 @@ DecompositionCertificate DecomposeHypergraph(const Hypergraph& h,
 /// through the certified checker.
 Result<DecompositionCertificate> CertificateFromJoinTree(
     const ConjunctiveQuery& cq, const JoinTree& join_tree);
+/// The same, against an already built hypergraph of the query.
+Result<DecompositionCertificate> CertificateFromJoinTree(
+    const Hypergraph& h, const JoinTree& join_tree);
+
+/// Maximum number of vertices shared by two distinct hyperedges.
+int MaxSharedVertices(const Hypergraph& h);
 
 }  // namespace qcont
 

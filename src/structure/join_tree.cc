@@ -4,6 +4,8 @@
 #include <set>
 #include <unordered_map>
 
+#include "structure/decomposition.h"
+
 namespace qcont {
 
 std::vector<std::vector<int>> JoinTree::Children() const {
@@ -63,87 +65,63 @@ Status JoinTree::Validate(const ConjunctiveQuery& cq) const {
   return Status::Ok();
 }
 
-namespace {
-
-struct GyoState {
-  std::vector<std::set<std::string>> edge_vars;  // per atom
-  std::vector<bool> alive;
-  std::vector<int> parent;
-
-  explicit GyoState(const ConjunctiveQuery& cq)
-      : alive(cq.atoms().size(), true), parent(cq.atoms().size(), -1) {
-    edge_vars.reserve(cq.atoms().size());
-    for (const Atom& a : cq.atoms()) {
-      std::set<std::string> vars;
-      for (const Term& t : a.Variables()) vars.insert(t.name());
-      edge_vars.push_back(std::move(vars));
-    }
+Result<JoinTree> BuildJoinTree(const std::vector<std::vector<int>>& edges,
+                               int num_vertices) {
+  const std::size_t m = edges.size();
+  // occurrences[v]: number of alive edges containing v.
+  std::vector<int> occurrences(num_vertices, 0);
+  for (const std::vector<int>& edge : edges) {
+    for (int v : edge) ++occurrences[v];
   }
-
-  // Number of alive edges containing `var`.
-  int Occurrences(const std::string& var) const {
-    int count = 0;
-    for (std::size_t i = 0; i < edge_vars.size(); ++i) {
-      if (alive[i] && edge_vars[i].count(var)) ++count;
-    }
-    return count;
-  }
-
-  // Runs GYO to fixpoint; returns true iff every edge was removed (acyclic).
-  bool Reduce() {
-    std::size_t remaining = 0;
-    for (bool a : alive) remaining += a ? 1 : 0;
-    bool progress = true;
-    while (progress && remaining > 0) {
-      progress = false;
-      for (std::size_t e = 0; e < edge_vars.size() && !progress; ++e) {
-        if (!alive[e]) continue;
-        // Variables of e that occur in another alive edge.
-        std::set<std::string> shared;
-        for (const std::string& v : edge_vars[e]) {
-          if (Occurrences(v) > 1) shared.insert(v);
-        }
-        if (shared.empty()) {
-          // Isolated ear: remove as a root.
-          alive[e] = false;
-          --remaining;
+  std::vector<char> alive(m, 1);
+  JoinTree jt;
+  jt.parent.assign(m, -1);
+  auto remove = [&](std::size_t e, int parent) {
+    alive[e] = 0;
+    jt.parent[e] = parent;
+    for (int v : edges[e]) --occurrences[v];
+  };
+  std::vector<int> shared;
+  std::size_t remaining = m;
+  bool progress = true;
+  while (progress && remaining > 0) {
+    progress = false;
+    for (std::size_t e = 0; e < m && !progress; ++e) {
+      if (!alive[e]) continue;
+      // Vertices of e that occur in another alive edge.
+      shared.clear();
+      for (int v : edges[e]) {
+        if (occurrences[v] > 1) shared.push_back(v);
+      }
+      if (shared.empty()) {
+        remove(e, -1);  // isolated ear: a root
+        progress = true;
+        break;
+      }
+      // e is an ear with witness f if shared ⊆ vertices(f).
+      for (std::size_t f = 0; f < m; ++f) {
+        if (f == e || !alive[f]) continue;
+        if (std::includes(edges[f].begin(), edges[f].end(), shared.begin(),
+                          shared.end())) {
+          remove(e, static_cast<int>(f));
           progress = true;
           break;
         }
-        // e is an ear with witness f if shared ⊆ vars(f).
-        for (std::size_t f = 0; f < edge_vars.size(); ++f) {
-          if (f == e || !alive[f]) continue;
-          bool subset = std::includes(edge_vars[f].begin(), edge_vars[f].end(),
-                                      shared.begin(), shared.end());
-          if (subset) {
-            alive[e] = false;
-            parent[e] = static_cast<int>(f);
-            --remaining;
-            progress = true;
-            break;
-          }
-        }
       }
     }
-    return remaining == 0;
+    if (progress) --remaining;
   }
-};
-
-}  // namespace
-
-bool IsAcyclic(const ConjunctiveQuery& cq) {
-  GyoState state(cq);
-  return state.Reduce();
-}
-
-Result<JoinTree> BuildJoinTree(const ConjunctiveQuery& cq) {
-  GyoState state(cq);
-  if (!state.Reduce()) {
+  if (remaining > 0) {
     return FailedPreconditionError("query is cyclic: no join tree exists");
   }
-  JoinTree jt;
-  jt.parent = std::move(state.parent);
   return jt;
+}
+
+bool IsAcyclic(const ConjunctiveQuery& cq) { return BuildJoinTree(cq).ok(); }
+
+Result<JoinTree> BuildJoinTree(const ConjunctiveQuery& cq) {
+  const Hypergraph h = CqHypergraph(cq);
+  return BuildJoinTree(h.edges, h.num_vertices);
 }
 
 }  // namespace qcont

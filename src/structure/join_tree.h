@@ -37,6 +37,13 @@ bool IsAcyclic(const ConjunctiveQuery& cq);
 /// Builds a join tree of `cq`, or kFailedPrecondition if `cq` is cyclic.
 Result<JoinTree> BuildJoinTree(const ConjunctiveQuery& cq);
 
+/// GYO over hyperedges given as sorted, deduplicated lists of dense vertex
+/// ids in [0, num_vertices): one pass decides acyclicity and yields the
+/// join forest (node i = hyperedge i). kFailedPrecondition when cyclic. The
+/// CQ overloads above run this over CqHypergraph(cq).
+Result<JoinTree> BuildJoinTree(const std::vector<std::vector<int>>& edges,
+                               int num_vertices);
+
 }  // namespace qcont
 
 #endif  // QCONT_STRUCTURE_JOIN_TREE_H_

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "core/ack_containment.h"
 #include "core/datalog_ucq.h"
+#include "core/program_artifact_cache.h"
+#include "core/router.h"
 #include "parser/parser.h"
 #include "structure/classify.h"
+#include "tests/engine_parity_cases.h"
 #include "tests/engine_validation.h"
 #include "tests/generators.h"
 
@@ -126,6 +133,140 @@ TEST(AckEngineProperty, AgreesWithGeneralEngineRandomized) {
     (ack->contained ? yes : no)++;
   }
   EXPECT_GT(no, 0);
+}
+
+// Π whose IDB p carries `n` wide head positions before Z, so Z sits at
+// head position n (past the range of a signed byte for n >= 128). `extra`
+// is appended to q's body.
+std::string WideHeadProgram(int n, const std::string& extra) {
+  std::string vars;
+  for (int i = 0; i < n; ++i) {
+    vars += 'A';
+    vars += std::to_string(i);
+    vars += ',';
+  }
+  std::string text = "p(";
+  text += vars;
+  text += "Z) :- w(";
+  text += vars;
+  text += "Z), r(Z). q(Z) :- p(";
+  text += vars;
+  text += "Z), s(Z)";
+  text += extra;
+  text += ". goal q.";
+  return text;
+}
+
+// Every expansion puts r(Z) and s(Z) on the goal variable, whatever the
+// width of p's head: contained at 127, 128 and 200 wide positions, by the
+// ACk engine and — with a triangle added to both sides, which makes Θ
+// cyclic — by the type engine the router then picks.
+TEST(AckEngineTest, WideHeadsKeepCorrectVerdicts) {
+  const std::string triangle = ", e(Z,Y), e(Y,U), e(U,Z)";
+  for (int n : {127, 128, 200}) {
+    auto program = ParseProgram(WideHeadProgram(n, ""));
+    auto ucq = ParseUcq("Q(Z) :- r(Z), s(Z).");
+    ASSERT_TRUE(program.ok() && ucq.ok()) << n;
+    auto ack = DatalogContainedInAcyclicUcq(*program, *ucq);
+    ASSERT_TRUE(ack.ok()) << n << ": " << ack.status().ToString();
+    EXPECT_TRUE(ack->contained) << n;
+
+    auto cyclic_program = ParseProgram(WideHeadProgram(n, triangle));
+    std::string cyclic_text = "Q(Z) :- r(Z), s(Z)";
+    cyclic_text += triangle;
+    cyclic_text += '.';
+    auto cyclic_ucq = ParseUcq(cyclic_text);
+    ASSERT_TRUE(cyclic_program.ok() && cyclic_ucq.ok()) << n;
+    auto routed = DecideContainment(*cyclic_program, *cyclic_ucq);
+    ASSERT_TRUE(routed.ok()) << n << ": " << routed.status().ToString();
+    EXPECT_EQ(routed->route, ContainmentRoute::kGeneralEngine) << n;
+    EXPECT_TRUE(routed->answer.contained) << n;
+  }
+}
+
+struct ParityLiteral {
+  const char* name;
+  const char* record;
+};
+
+constexpr ParityLiteral kAckParity[] = {
+#include "tests/ack_parity_records.inc"
+};
+
+std::string AckRecord(const DatalogProgram& program, const UnionQuery& ucq,
+                      const AckEngineLimits& limits) {
+  AckEngineStats stats;
+  auto answer = DatalogContainedInAcyclicUcq(program, ucq, &stats, limits);
+  return parity::ParityRecord(answer, stats.kinds, stats.summaries,
+                              stats.combos, stats.game_states,
+                              stats.antichain_sets, stats.ack_level);
+}
+
+// Pins verdicts, every counter, the level and the witness text of ~200
+// fixed instances to the records of the reference engine, both with a
+// private artifact per call and through a shared artifact cache.
+TEST(AckEngineParity, MatchesReferenceRecords) {
+  const std::vector<parity::AckCase> cases = parity::AckCases();
+  ASSERT_EQ(cases.size(), std::size(kAckParity));
+  ProgramArtifactCache cache;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    ASSERT_EQ(cases[i].name, kAckParity[i].name);
+    AckEngineLimits limits;
+    EXPECT_EQ(AckRecord(cases[i].program, cases[i].ucq, limits),
+              kAckParity[i].record)
+        << cases[i].name;
+    limits.artifact_cache = &cache;
+    EXPECT_EQ(AckRecord(cases[i].program, cases[i].ucq, limits),
+              kAckParity[i].record)
+        << cases[i].name << " (cached artifact)";
+  }
+}
+
+// Low budgets trip at the reference engine's counter values; the snapshot
+// counters stay unpublished when the fixpoint does not complete.
+TEST(AckEngineParity, BudgetsTripAtReferenceCounters) {
+  struct Budget {
+    const char* name;
+    std::uint64_t max_combos;
+    std::uint64_t max_summaries;
+    const char* record;
+  };
+  const Budget budgets[] = {
+      {"nonlinear_tc/4", 3, 1000,
+       "error ResourceExhausted: ACk-engine combination budget exceeded "
+       "kinds=0 summaries=0 combos=4 game_states=98 antichain_sets=0 level=1"},
+      {"nonlinear_tc/4", 1000, 2,
+       "error ResourceExhausted: ACk-engine summary budget exceeded kinds=0 "
+       "summaries=0 combos=3 game_states=98 antichain_sets=0 level=1"},
+      {"nonlinear_tc/4", 6, 4,
+       "error ResourceExhausted: ACk-engine summary budget exceeded kinds=0 "
+       "summaries=0 combos=5 game_states=164 antichain_sets=0 level=1"},
+      {"nonlinear_tc/4", 1, 1,
+       "error ResourceExhausted: ACk-engine combination budget exceeded "
+       "kinds=0 summaries=0 combos=2 game_states=24 antichain_sets=0 level=1"},
+      {"nonlinear_tc/4", 1000, 1,
+       "error ResourceExhausted: ACk-engine summary budget exceeded kinds=0 "
+       "summaries=0 combos=2 game_states=62 antichain_sets=0 level=1"},
+      {"nonlinear_tc/4", 2, 1000,
+       "error ResourceExhausted: ACk-engine combination budget exceeded "
+       "kinds=0 summaries=0 combos=3 game_states=62 antichain_sets=0 level=1"},
+      {"star_fanout/6", 1, 1,
+       "error ResourceExhausted: ACk-engine combination budget exceeded "
+       "kinds=0 summaries=0 combos=2 game_states=15 antichain_sets=0 level=1"},
+  };
+  const std::vector<parity::AckCase> cases = parity::AckCases();
+  for (const Budget& budget : budgets) {
+    auto it = std::find_if(cases.begin(), cases.end(), [&](const auto& c) {
+      return c.name == budget.name;
+    });
+    ASSERT_NE(it, cases.end()) << budget.name;
+    AckEngineLimits limits;
+    limits.max_combos = budget.max_combos;
+    limits.max_summaries = budget.max_summaries;
+    EXPECT_EQ(AckRecord(it->program, it->ucq, limits), budget.record)
+        << budget.name << " combos<=" << budget.max_combos
+        << " summaries<=" << budget.max_summaries;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "core/acrk_containment.h"
 #include "core/datalog_ucq.h"
@@ -8,6 +12,7 @@
 #include "datalog/expansion.h"
 #include "graphdb/c2rpq.h"
 #include "parser/parser.h"
+#include "tests/engine_parity_cases.h"
 #include "tests/generators.h"
 
 namespace qcont {
@@ -249,6 +254,108 @@ TEST(GeneralUc2rpqTest, CyclicGammaUnknownWhenExhausted) {
   auto answer = DatalogContainedInUC2rpq(*program, *gamma);
   ASSERT_TRUE(answer.ok());
   EXPECT_EQ(answer->verdict, Uc2rpqVerdict::kUnknown);
+}
+
+// The binary-schema version of the wide-head regression: p carries `n`
+// head positions before Z, each tied to Z by a w edge; every expansion has
+// r and s loops on the goal variable, for n = 127, 128 and 200.
+TEST(AcrkEngineTest, WideHeadsKeepCorrectVerdicts) {
+  for (int n : {127, 128, 200}) {
+    std::string vars;
+    std::string edges;
+    for (int i = 0; i < n; ++i) {
+      vars += 'A';
+      vars += std::to_string(i);
+      vars += ',';
+      edges += ", w(A";
+      edges += std::to_string(i);
+      edges += ",Z)";
+    }
+    std::string text = "p(";
+    text += vars;
+    text += "Z) :- r(Z,Z)";
+    text += edges;
+    text += ". q(Z) :- p(";
+    text += vars;
+    text += "Z), s(Z,Z). goal q.";
+    auto program = ParseProgram(text);
+    auto gamma = ParseUC2rpq("Q(Z) :- [r](Z,Z), [s](Z,Z).");
+    ASSERT_TRUE(program.ok() && gamma.ok()) << n;
+    auto answer = DatalogContainedInAcyclicUC2rpq(*program, *gamma);
+    ASSERT_TRUE(answer.ok()) << n << ": " << answer.status().ToString();
+    EXPECT_TRUE(answer->contained) << n;
+  }
+}
+
+struct ParityLiteral {
+  const char* name;
+  const char* record;
+};
+
+constexpr ParityLiteral kAcrkParity[] = {
+#include "tests/acrk_parity_records.inc"
+};
+
+std::string AcrkRecord(const DatalogProgram& program, const UC2rpq& gamma,
+                       const AcrkEngineLimits& limits) {
+  AcrkEngineStats stats;
+  auto answer = DatalogContainedInAcyclicUC2rpq(program, gamma, &stats, limits);
+  return parity::ParityRecord(answer, stats.kinds, stats.summaries,
+                              stats.combos, stats.game_states,
+                              stats.antichain_sets, stats.acrk_level);
+}
+
+// Pins verdicts, every counter, the level and the witness text of ~200
+// fixed instances to the records of the reference engine.
+TEST(AcrkEngineParity, MatchesReferenceRecords) {
+  const std::vector<parity::AcrkCase> cases = parity::AcrkCases();
+  ASSERT_EQ(cases.size(), std::size(kAcrkParity));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    ASSERT_EQ(cases[i].name, kAcrkParity[i].name);
+    EXPECT_EQ(AcrkRecord(cases[i].program, cases[i].gamma, AcrkEngineLimits()),
+              kAcrkParity[i].record)
+        << cases[i].name;
+  }
+}
+
+// Low budgets trip at the reference engine's counter values.
+TEST(AcrkEngineParity, BudgetsTripAtReferenceCounters) {
+  struct Budget {
+    const char* name;
+    std::uint64_t max_combos;
+    std::uint64_t max_summaries;
+    const char* record;
+  };
+  const Budget budgets[] = {
+      {"stride_in_star/3", 1, 1,
+       "error ResourceExhausted: ACRk-engine combination budget exceeded "
+       "kinds=0 summaries=0 combos=2 game_states=21 antichain_sets=0 level=1"},
+      {"stride_in_star/3", 1000, 1,
+       "error ResourceExhausted: ACRk-engine summary budget exceeded kinds=0 "
+       "summaries=0 combos=2 game_states=72 antichain_sets=0 level=1"},
+      {"stride_in_star/3", 2, 1000,
+       "error ResourceExhausted: ACRk-engine combination budget exceeded "
+       "kinds=0 summaries=0 combos=3 game_states=72 antichain_sets=0 level=1"},
+      {"stride_in_star/3", 3, 1000,
+       "contained kinds=1 summaries=2 combos=3 game_states=123 "
+       "antichain_sets=96 level=1"},
+      {"deep_variable_tree/3", 1, 1,
+       "error ResourceExhausted: ACRk-engine combination budget exceeded "
+       "kinds=0 summaries=0 combos=2 game_states=37 antichain_sets=0 level=1"},
+  };
+  const std::vector<parity::AcrkCase> cases = parity::AcrkCases();
+  for (const Budget& budget : budgets) {
+    auto it = std::find_if(cases.begin(), cases.end(), [&](const auto& c) {
+      return c.name == budget.name;
+    });
+    ASSERT_NE(it, cases.end()) << budget.name;
+    AcrkEngineLimits limits;
+    limits.max_combos = budget.max_combos;
+    limits.max_summaries = budget.max_summaries;
+    EXPECT_EQ(AcrkRecord(it->program, it->gamma, limits), budget.record)
+        << budget.name << " combos<=" << budget.max_combos
+        << " summaries<=" << budget.max_summaries;
+  }
 }
 
 }  // namespace

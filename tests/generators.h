@@ -65,7 +65,8 @@ inline ConjunctiveQuery RandomCq(std::mt19937* rng, const SchemaSpec& schema,
         schema.relations[(*rng)() % schema.relations.size()];
     std::vector<Term> terms;
     for (int j = 0; j < rel_arity; ++j) {
-      std::string var = "x" + std::to_string((*rng)() % num_vars);
+      std::string var = "x";
+      var += std::to_string((*rng)() % num_vars);
       used.push_back(var);
       terms.push_back(Term::Variable(var));
     }
@@ -103,7 +104,8 @@ inline ConjunctiveQuery RandomAcyclicCq(std::mt19937* rng,
       if (!pool.empty() && (*rng)() % 2 == 0) {
         var = pool[(*rng)() % pool.size()];
       } else {
-        var = "y" + std::to_string(fresh++);
+        var = "y";
+        var += std::to_string(fresh++);
       }
       vars.push_back(var);
       used.push_back(var);

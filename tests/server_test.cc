@@ -373,6 +373,31 @@ TEST(ServerTest, ShrunkCacheStaysCorrectUnderEviction) {
   EXPECT_GT(server.cache().stats().evictions, 0u);
 }
 
+// A goal variable past head position 127 of an intermediate IDB once gave
+// wrong verdicts and, from 200 positions on, an uncaught exception that
+// took the server down. The request must be answered, and correctly.
+TEST(ServerTest, AnswersContainmentWithWideHeads) {
+  std::string vars;
+  for (int i = 0; i < 200; ++i) {
+    vars += 'A';
+    vars += std::to_string(i);
+    vars += ',';
+  }
+  std::string request = R"({"id":1,"op":"containment","program":"p()";
+  request += vars;
+  request += "Z) :- w(";
+  request += vars;
+  request += "Z), r(Z). q(Z) :- p(";
+  request += vars;
+  request += R"(Z), s(Z). goal q.","query":"Q(Z) :- r(Z), s(Z)."})";
+  Server server(ServerOptions{});
+  const std::string response = server.HandleLine(request);
+  EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos)
+      << response;
+  EXPECT_NE(response.find("\"contained\":true"), std::string::npos)
+      << response;
+}
+
 TEST(ServerTest, DeadlineZeroExpiresDeterministically) {
   Server server(ServerOptions{});
   const std::string response = server.HandleLine(

@@ -3,7 +3,8 @@
 
 Usage:
   tools/check_bench_regression.py BEFORE.json [AFTER.json] \
-      [--tolerance 0.10] [--min-speedup X] [--max-counter NAME=VALUE ...]
+      [--tolerance 0.10] [--min-speedup X] [--max-counter NAME=VALUE ...] \
+      [--equal-counter NAME ...]
 
 For every benchmark name present in both files the median real_time of the
 plain iteration runs is compared (aggregate rows such as *_mean/_median
@@ -36,6 +37,13 @@ median is just that run). The check fails when
     reported as a note and passes — that is how the gate stays armed for
     multicore capture machines without failing captures from machines that
     cannot schedule the BASE row (their pruned thread grid never emits it).
+  * --equal-counter NAME is given (two files only) and some shared series
+    reports a different (median) counter NAME in AFTER than in BEFORE, or
+    reports it in only one of the two files — used to pin machine-
+    independent work counters (summaries, combos, game states) across a
+    rewrite that must not change them. Series that report NAME in neither
+    file are skipped (counter columns differ per benchmark function), but
+    at least one shared series must report it.
 
 A series that does NOT report a bounded counter is a hard error: a renamed
 or dropped counter must fail the gate, never silently pass it. When the
@@ -158,6 +166,38 @@ def check_min_ratios(path, ratios, allow_missing):
     return failed
 
 
+def check_equal_counters(before_path, after_path, counters):
+    """Fails when a shared series' median counter differs between the two
+    files, or is reported by only one of them, or when no shared series
+    reports the counter at all. Returns True on failure."""
+    failed = False
+    for counter in counters:
+        counter_failed = False
+        before, _ = load_counter_medians(before_path, counter)
+        after, _ = load_counter_medians(after_path, counter)
+        shared = set(load_medians(before_path)) & set(load_medians(after_path))
+        reporting = sorted(n for n in shared if n in before or n in after)
+        if not reporting:
+            print(f"ERROR: no shared series reports counter '{counter}'")
+            failed = True
+            continue
+        for name in reporting:
+            if name not in before or name not in after:
+                side = after_path if name in after else before_path
+                print(f"   MISSING  {name}: counter '{counter}' only in "
+                      f"{side}")
+                counter_failed = True
+            elif before[name] != after[name]:
+                print(f"  MISMATCH  {name}: {counter} {before[name]:g} -> "
+                      f"{after[name]:g}")
+                counter_failed = True
+        if counter_failed:
+            failed = True
+        else:
+            print(f"equal: '{counter}' on {len(reporting)} shared series")
+    return failed
+
+
 def check_geomean(before, after, shared, min_geomean, substr):
     """Fails when the geometric-mean speedup over the gated series (those
     whose name contains `substr`, or all shared series when substr is None)
@@ -273,6 +313,37 @@ def self_test():
         if failed != expect_failure:
             code = 1
 
+    # Equal-counter gate (--equal-counter): a shared series must report the
+    # same counter value in both files.
+    equal_fixtures = {
+        "equal counters pass": (
+            [bench("a", c=3.0), bench("b")], [bench("a", c=3.0), bench("b")],
+            False),
+        "a changed counter fails": (
+            [bench("a", c=3.0)], [bench("a", c=4.0)], True),
+        "a counter dropped on one side fails": (
+            [bench("a", c=3.0)], [bench("a")], True),
+        "a counter no shared series reports fails": (
+            [bench("a", c=3.0)], [bench("b", c=3.0)], True),
+    }
+    for label, (before_benches, after_benches,
+                expect_failure) in equal_fixtures.items():
+        paths = []
+        for benches in (before_benches, after_benches):
+            with tempfile.NamedTemporaryFile(
+                    "w", suffix=".json", delete=False) as f:
+                json.dump({"benchmarks": benches}, f)
+                paths.append(f.name)
+        try:
+            failed = check_equal_counters(paths[0], paths[1], ["c"])
+        finally:
+            for path in paths:
+                os.unlink(path)
+        verdict = "ok" if failed == expect_failure else "SELF-TEST FAIL"
+        print(f"[{verdict}] {label}")
+        if failed != expect_failure:
+            code = 1
+
     # Geomean gate: 2x and 1x speedups geomean to ~1.414x.
     before = {"tc/64": 200.0, "tc/8": 100.0, "other/64": 100.0}
     after = {"tc/64": 100.0, "tc/8": 100.0, "other/64": 100.0}
@@ -348,6 +419,14 @@ def main():
              "downgrades an absent series to a note)",
     )
     parser.add_argument(
+        "--equal-counter",
+        action="append",
+        default=[],
+        metavar="NAME",
+        help="fail unless every shared series reports the same (median) "
+             "counter NAME in both files (repeatable; two files only)",
+    )
+    parser.add_argument(
         "--allow-missing",
         action="store_true",
         help="tolerate series that do not report a bounded counter "
@@ -395,6 +474,9 @@ def main():
             return 2
 
     if args.after is None:
+        if args.equal_counter:
+            print("ERROR: --equal-counter compares two files")
+            return 2
         if not bounds and not floors and not ratios:
             print("ERROR: a single file requires --max-counter, "
                   "--min-counter or --min-ratio")
@@ -443,9 +525,12 @@ def main():
         failed = True
     if ratios and check_min_ratios(args.after, ratios, args.allow_missing):
         failed = True
+    if args.equal_counter and check_equal_counters(args.before, args.after,
+                                                   args.equal_counter):
+        failed = True
     if failed:
         print(f"FAIL: at least one series regressed by more than "
-              f"{args.tolerance:.0%} or a counter bound was violated")
+              f"{args.tolerance:.0%} or a counter gate was violated")
         return 1
     if args.min_speedup is not None:
         if best_speedup < args.min_speedup:
