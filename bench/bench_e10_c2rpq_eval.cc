@@ -12,6 +12,7 @@
 #include "graphdb/c2rpq.h"
 #include "graphdb/graph_db.h"
 #include "graphdb/rpq.h"
+#include "bench/workloads.h"
 #include "parser/parser.h"
 
 namespace qcont {
@@ -22,8 +23,8 @@ GraphDatabase RandomGraph(int nodes, int edges_per_label, unsigned seed) {
   GraphDatabase g;
   for (const char* label : {"a", "b"}) {
     for (int i = 0; i < edges_per_label; ++i) {
-      g.AddEdge("n" + std::to_string(rng() % nodes), label,
-                "n" + std::to_string(rng() % nodes));
+      g.AddEdge(bench::Numbered("n", rng() % nodes), label,
+                bench::Numbered("n", rng() % nodes));
     }
   }
   return g;

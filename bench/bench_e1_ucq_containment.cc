@@ -118,7 +118,7 @@ void BM_UcqContainment(benchmark::State& state) {
     state.counters["t_analysis_us"] = t_analysis;
     state.counters["analysis_pct"] =
         100.0 * t_analysis / std::max(t_engine, 1e-6);
-    bench::MaybeWriteTrace(trace, "e1_ucq_n" + std::to_string(n) + "_t" +
+    bench::MaybeWriteTrace(trace, bench::Numbered("e1_ucq_n", n) + "_t" +
                                       std::to_string(threads));
   }
 }

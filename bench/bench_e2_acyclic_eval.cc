@@ -106,7 +106,7 @@ void BM_AcyclicSatStar(benchmark::State& state) {
   for (int i = 0; i < 6; ++i) {
     atoms.emplace_back(
         "e", std::vector<Term>{Term::Variable("c"),
-                               Term::Variable("y" + std::to_string(i))});
+                               Term::Variable(bench::Numbered("y", i))});
   }
   ConjunctiveQuery star({}, std::move(atoms));
   YannakakisStats stats;

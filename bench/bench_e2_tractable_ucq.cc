@@ -67,11 +67,11 @@ void BM_BoundedWidthTw2Rhs(benchmark::State& state) {
   std::vector<Atom> atoms;
   for (int i = 0; i < n; ++i) {
     atoms.emplace_back("e", std::vector<Term>{
-                                Term::Variable("x" + std::to_string(i)),
-                                Term::Variable("x" + std::to_string(i + 1))});
+                                Term::Variable(bench::Numbered("x", i)),
+                                Term::Variable(bench::Numbered("x", i + 1))});
   }
   atoms.emplace_back("e", std::vector<Term>{Term::Variable("x0"),
-                                            Term::Variable("x" + std::to_string(n))});
+                                            Term::Variable(bench::Numbered("x", n))});
   ConjunctiveQuery rhs({}, std::move(atoms));  // cycle: TW(2)
   ConjunctiveQuery lhs({}, {Atom("e", {Term::Variable("s"), Term::Variable("s")})});
   DecompEvalStats stats;

@@ -56,8 +56,8 @@ void BM_TcVsCycle(benchmark::State& state) {
   std::vector<Atom> atoms;
   for (int i = 0; i < k; ++i) {
     atoms.emplace_back("e", std::vector<Term>{
-                                Term::Variable("c" + std::to_string(i)),
-                                Term::Variable("c" + std::to_string((i + 1) % k))});
+                                Term::Variable(bench::Numbered("c", i)),
+                                Term::Variable(bench::Numbered("c", (i + 1) % k))});
   }
   // Make arities match: free endpoints via separate edge atoms.
   atoms.emplace_back("e", std::vector<Term>{Term::Variable("x"),

@@ -98,7 +98,7 @@ UnionQuery StarFanUcq(int fan) {
   for (int i = 0; i < fan; ++i) {
     atoms.emplace_back("e", std::vector<Term>{
                                 Term::Variable("x"),
-                                Term::Variable("u" + std::to_string(i))});
+                                Term::Variable(bench::Numbered("u", i))});
   }
   return UnionQuery({ConjunctiveQuery(
       {Term::Variable("x"), Term::Variable("y")}, std::move(atoms))});
@@ -139,7 +139,7 @@ void BM_Ack_SharedVariableWidth(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   // Program: p(x) <- t(x, y1..yk), base m(y1..yk); recursion through m.
   std::vector<Term> ys;
-  for (int i = 0; i < k; ++i) ys.push_back(Term::Variable("y" + std::to_string(i)));
+  for (int i = 0; i < k; ++i) ys.push_back(Term::Variable(bench::Numbered("y", i)));
   std::vector<Term> head_args = {Term::Variable("x")};
   std::vector<Term> t_args = head_args;
   t_args.insert(t_args.end(), ys.begin(), ys.end());
@@ -152,7 +152,7 @@ void BM_Ack_SharedVariableWidth(benchmark::State& state) {
   DatalogProgram program(std::move(rules), "p");
   // UCQ: Q(x) <- t(x, u1..uk), m(u1..uk): two atoms sharing k variables.
   std::vector<Term> us;
-  for (int i = 0; i < k; ++i) us.push_back(Term::Variable("u" + std::to_string(i)));
+  for (int i = 0; i < k; ++i) us.push_back(Term::Variable(bench::Numbered("u", i)));
   std::vector<Term> tu = {Term::Variable("x")};
   tu.insert(tu.end(), us.begin(), us.end());
   UnionQuery ucq({ConjunctiveQuery({Term::Variable("x")},

@@ -38,7 +38,7 @@ void BM_Routed_TreewidthOneStar(benchmark::State& state) {
   for (int i = 0; i < leaves; ++i) {
     atoms.emplace_back("e", std::vector<Term>{
                                 Term::Variable("x"),
-                                Term::Variable("l" + std::to_string(i))});
+                                Term::Variable(bench::Numbered("l", i))});
   }
   UnionQuery ucq({ConjunctiveQuery({Term::Variable("x"), Term::Variable("y")},
                                    std::move(atoms))});
@@ -60,8 +60,8 @@ void BM_Routed_CyclicFallback(benchmark::State& state) {
   std::vector<Atom> atoms;
   for (int i = 0; i < k; ++i) {
     atoms.emplace_back("e", std::vector<Term>{
-                                Term::Variable("c" + std::to_string(i)),
-                                Term::Variable("c" + std::to_string((i + 1) % k))});
+                                Term::Variable(bench::Numbered("c", i)),
+                                Term::Variable(bench::Numbered("c", (i + 1) % k))});
   }
   atoms.emplace_back("e", std::vector<Term>{Term::Variable("x"),
                                             Term::Variable("y")});

@@ -23,8 +23,8 @@ UnionQuery PaddedQuery(int pad) {
   atoms.emplace_back("e", std::vector<Term>{Term::Variable("s"),
                                             Term::Variable("s")});
   for (int i = 0; i < pad; ++i) {
-    std::string a = "a" + std::to_string(i), b = "b" + std::to_string(i),
-                c = "c" + std::to_string(i);
+    std::string a = bench::Numbered("a", i), b = bench::Numbered("b", i),
+                c = bench::Numbered("c", i);
     atoms.emplace_back("e", std::vector<Term>{Term::Variable(a), Term::Variable(b)});
     atoms.emplace_back("e", std::vector<Term>{Term::Variable(b), Term::Variable(c)});
     atoms.emplace_back("e", std::vector<Term>{Term::Variable(c), Term::Variable(a)});

@@ -74,8 +74,8 @@ void BM_TcChain(benchmark::State& state) {
     state.counters["analysis_pct"] =
         100.0 * t_analysis / std::max(totals["datalog/eval"], 1e-6);
     bench::MaybeWriteTrace(
-        trace, "e9_tc_n" + std::to_string(n) + (semi ? "_semi" : "_naive") +
-                   "_t" + std::to_string(threads));
+        trace, bench::Numbered("e9_tc_n", n) + (semi ? "_semi" : "_naive") +
+                   bench::Numbered("_t", threads));
   }
   // Probe-kernel traffic of one evaluation (DESIGN.md §16): the db.probe.*
   // counters are deterministic per (program, database, options), so one
@@ -109,8 +109,8 @@ BENCHMARK(BM_TcChain)->Apply(TcChainArgs);
 // Multicore scaling rows (EXPERIMENTS.md §E9 scaling study): transitive
 // closure over a wide random graph — n nodes, 4n edges — whose delta
 // rounds carry thousands of rows, so both parallel stages of a round have
-// real fan-out: the block-split delta joins (one task per
-// delta_block_rows rows) and the shard-parallel round-barrier merge
+// real fan-out: the block-split delta joins (one task per 1024 delta
+// rows) and the shard-parallel round-barrier merge
 // (Database::AddRowBatch, one claim task per shard). The (threads,
 // shards) grid is pruned to thread counts this machine can schedule;
 // check_bench_regression.py gates the threads=8/threads=1 ratio whenever
@@ -126,9 +126,6 @@ void BM_TcWide(benchmark::State& state) {
   EvalOptions options;
   options.exec.threads = threads;
   options.shards = shards;
-  // Smaller blocks than the default so even mid-size deltas split into
-  // several tasks per (rule, position) join.
-  options.delta_block_rows = 512;
   DatalogEvalStats stats;
   std::size_t derived = 0;
   for (auto _ : state) {
@@ -160,7 +157,7 @@ void BM_TcWide(benchmark::State& state) {
     state.counters["merge_serial_pct"] =
         100.0 * totals["datalog/shard_merge"] /
         std::max(totals["datalog/eval"], 1e-6);
-    bench::MaybeWriteTrace(trace, "e9_tcwide_n" + std::to_string(n) + "_t" +
+    bench::MaybeWriteTrace(trace, bench::Numbered("e9_tcwide_n", n) + "_t" +
                                       std::to_string(threads) + "_p" +
                                       std::to_string(shards));
   }
@@ -210,8 +207,8 @@ void BM_SameGeneration(benchmark::State& state) {
     for (int node : level) {
       for (int c = 0; c < 2; ++c) {
         ++id;
-        db.AddFact("up", {"n" + std::to_string(id), "n" + std::to_string(node)});
-        db.AddFact("down", {"n" + std::to_string(node), "n" + std::to_string(id)});
+        db.AddFact("up", {bench::Numbered("n", id), bench::Numbered("n", node)});
+        db.AddFact("down", {bench::Numbered("n", node), bench::Numbered("n", id)});
         next.push_back(id);
       }
     }

@@ -32,8 +32,8 @@ struct ProbeFixture {
   ProbeFixture(int rows, int hit_pct) {
     std::mt19937 rng(11);
     for (int i = 0; i < rows; ++i) {
-      db.AddFact("e", {"n" + std::to_string(rng() % (2 * rows)),
-                       "n" + std::to_string(rng() % (2 * rows))});
+      db.AddFact("e", {bench::Numbered("n", rng() % (2 * rows)),
+                       bench::Numbered("n", rng() % (2 * rows))});
     }
     rel = db.RelationIdOf("e");
     keys.reserve(rows);
@@ -43,7 +43,7 @@ struct ProbeFixture {
       } else {
         // Interned but never inserted: a guaranteed miss the Bloom filter
         // can answer without touching the table.
-        keys.push_back(db.pool()->Intern("miss" + std::to_string(i)));
+        keys.push_back(db.pool()->Intern(bench::Numbered("miss", i)));
       }
     }
   }

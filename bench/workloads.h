@@ -18,6 +18,13 @@
 namespace qcont {
 namespace bench {
 
+/// `prefix` followed by the decimal `i` ("x" + std::to_string(i)). Built by
+/// appending: GCC 12 reports a false -Wrestrict on `literal + std::string`.
+inline std::string Numbered(std::string prefix, long long i) {
+  prefix += std::to_string(i);
+  return prefix;
+}
+
 /// Worker count for the "parallel" rows of the threaded benchmarks:
 /// QCONT_BENCH_THREADS if set (see run_benchmarks.sh --threads), otherwise
 /// the hardware concurrency, floored at 2 so the pool path is always
@@ -87,13 +94,13 @@ inline ConjunctiveQuery ChainCq(int n, const std::string& pred = "e",
   std::vector<Atom> atoms;
   for (int i = 0; i < n; ++i) {
     atoms.emplace_back(pred, std::vector<Term>{
-                                 Term::Variable("x" + std::to_string(i)),
-                                 Term::Variable("x" + std::to_string(i + 1))});
+                                 Term::Variable(Numbered("x", i)),
+                                 Term::Variable(Numbered("x", i + 1))});
   }
   std::vector<Term> head;
   if (free_endpoints >= 1) head.push_back(Term::Variable("x0"));
   if (free_endpoints >= 2) {
-    head.push_back(Term::Variable("x" + std::to_string(n)));
+    head.push_back(Term::Variable(Numbered("x", n)));
   }
   return ConjunctiveQuery(std::move(head), std::move(atoms));
 }
@@ -104,8 +111,8 @@ inline ConjunctiveQuery CliqueCq(int n, const std::string& pred = "e") {
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n; ++j) {
       atoms.emplace_back(pred, std::vector<Term>{
-                                   Term::Variable("x" + std::to_string(i)),
-                                   Term::Variable("x" + std::to_string(j))});
+                                   Term::Variable(Numbered("x", i)),
+                                   Term::Variable(Numbered("x", j))});
     }
   }
   return ConjunctiveQuery({}, std::move(atoms));
@@ -116,13 +123,13 @@ inline ConjunctiveQuery CliqueCq(int n, const std::string& pred = "e") {
 inline ConjunctiveQuery CoveredCliqueCq(int n) {
   std::vector<Atom> atoms;
   std::vector<Term> wide;
-  for (int i = 0; i < n; ++i) wide.push_back(Term::Variable("x" + std::to_string(i)));
-  atoms.emplace_back("t" + std::to_string(n), wide);
+  for (int i = 0; i < n; ++i) wide.push_back(Term::Variable(Numbered("x", i)));
+  atoms.emplace_back(Numbered("t", n), wide);
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n; ++j) {
       atoms.emplace_back("e", std::vector<Term>{
-                                  Term::Variable("x" + std::to_string(i)),
-                                  Term::Variable("x" + std::to_string(j))});
+                                  Term::Variable(Numbered("x", i)),
+                                  Term::Variable(Numbered("x", j))});
     }
   }
   return ConjunctiveQuery({}, std::move(atoms));
@@ -148,7 +155,7 @@ inline DatalogProgram StrideProgram(int m) {
   std::vector<Atom> body;
   Term prev = x;
   for (int i = 0; i < m; ++i) {
-    Term next = Term::Variable("z" + std::to_string(i));
+    Term next = Term::Variable(Numbered("z", i));
     body.push_back(Atom("e", {prev, next}));
     prev = next;
   }
@@ -171,7 +178,7 @@ inline DatalogProgram HotProgram(int arity, int rules) {
   std::vector<Term> xs;
   xs.reserve(arity);
   for (int i = 0; i < arity; ++i) {
-    xs.push_back(Term::Variable("x" + std::to_string(i)));
+    xs.push_back(Term::Variable(Numbered("x", i)));
   }
   std::vector<Rule> out;
   out.push_back(Rule{Atom("p", xs), {Atom("c", xs)}});
@@ -193,7 +200,7 @@ inline DatalogProgram HotProgram(int arity, int rules) {
     out.push_back(Rule{Atom("q", {z, z}), {Atom("c0", {z})}});
     for (int j = static_cast<int>(out.size()); j < rules; ++j) {
       out.push_back(Rule{Atom("p", xs),
-                         {Atom("f" + std::to_string(j), xs),
+                         {Atom(Numbered("f", j), xs),
                           Atom("q", {u, v})}});
     }
   }
@@ -212,7 +219,7 @@ inline UnionQuery HotTheta(int arity, int extras) {
   std::vector<Atom> atoms;
   std::vector<Term> head(arity, Term::Variable("v0"));
   for (int j = 0; j <= extras; ++j) {
-    std::vector<Term> vs(arity, Term::Variable("v" + std::to_string(j)));
+    std::vector<Term> vs(arity, Term::Variable(Numbered("v", j)));
     atoms.emplace_back("c", std::move(vs));
   }
   return UnionQuery({ConjunctiveQuery(std::move(head), std::move(atoms))});
@@ -244,8 +251,8 @@ inline Database RandomEdgeDatabase(std::mt19937* rng, int nodes, int edges,
                                    const std::string& pred = "e") {
   Database db;
   for (int i = 0; i < edges; ++i) {
-    db.AddFact(pred, {"n" + std::to_string((*rng)() % nodes),
-                      "n" + std::to_string((*rng)() % nodes)});
+    db.AddFact(pred, {Numbered("n", (*rng)() % nodes),
+                      Numbered("n", (*rng)() % nodes)});
   }
   return db;
 }
@@ -254,7 +261,7 @@ inline Database RandomEdgeDatabase(std::mt19937* rng, int nodes, int edges,
 inline Database ChainDatabase(int len, const std::string& pred = "e") {
   Database db;
   for (int i = 0; i < len; ++i) {
-    db.AddFact(pred, {"n" + std::to_string(i), "n" + std::to_string(i + 1)});
+    db.AddFact(pred, {Numbered("n", i), Numbered("n", i + 1)});
   }
   return db;
 }

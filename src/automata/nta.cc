@@ -152,7 +152,10 @@ TreeAutomaton TreeAutomaton::Complement(
       if (arity > 0 && known == 0) continue;
       while (true) {
         std::string key = std::to_string(symbol);
-        for (int c : combo) key += "," + std::to_string(c);
+        for (int c : combo) {
+          key += ',';
+          key += std::to_string(c);
+        }
         if (recorded.insert(key).second) {
           std::set<int> result;
           for (const Transition& t : a.transitions_) {

@@ -13,16 +13,14 @@ namespace qcont {
 namespace {
 
 // Bound-position mask of `atom` given the variables already bound (by slot
-// map membership). Constants count as bound. Positions >= 32 never arise
-// here — Compile rejects wider atoms first.
+// map membership). Only the first 32 positions are maskable, as in the
+// recursive engine; later positions are handled by PositionActions.
 std::uint32_t BoundMask(const Atom& atom,
                         const std::unordered_map<std::string, int>& slots) {
   std::uint32_t mask = 0;
-  for (std::size_t p = 0; p < atom.arity(); ++p) {
-    const Term& t = atom.terms()[p];
-    if (t.is_constant() || slots.count(t.name()) > 0) {
-      mask |= 1u << p;
-    }
+  const std::size_t limit = std::min<std::size_t>(atom.arity(), 32);
+  for (std::size_t p = 0; p < limit; ++p) {
+    if (slots.count(atom.terms()[p].name()) > 0) mask |= 1u << p;
   }
   return mask;
 }
@@ -31,53 +29,32 @@ std::uint32_t BoundMask(const Atom& atom,
 
 BlockJoinPlan BlockJoinPlan::Compile(const Rule& rule,
                                      std::span<const RelationId> body_rels,
-                                     int delta_position,
-                                     const Interner& pool) {
+                                     int delta_position) {
   BlockJoinPlan plan;
   const std::size_t num_atoms = rule.body.size();
   QCONT_CHECK(delta_position >= 0 &&
               static_cast<std::size_t>(delta_position) < num_atoms);
-  for (const Atom& atom : rule.body) {
-    if (atom.arity() > 32) return plan;  // probe masks are 32-bit
-  }
-  // A propositional delta atom has no rows to block over; leave it to the
-  // recursive engine.
-  if (rule.body[delta_position].arity() == 0) return plan;
-  for (const Term& t : rule.head.terms()) {
-    if (!t.is_variable()) return plan;  // head constants: recursive engine
-  }
 
   std::unordered_map<std::string, int> slots;
-  auto slot_of = [&](const std::string& name) {
-    auto [it, added] = slots.try_emplace(name, static_cast<int>(slots.size()));
-    return it->second;
-  };
-  auto find_const = [&](const std::string& name, bool* dead) {
-    const ValueId id = pool.Find(name);
-    if (id == Interner::kMissing) *dead = true;
-    return id;
+  // Every position outside the probe key: bind a fresh variable, check a
+  // bound one (a repeat within the atom, or one bound by an earlier atom
+  // at a position past the mask).
+  auto action_for = [&](const Term& t, std::size_t p) {
+    QCONT_CHECK_MSG(t.is_variable(), "block plans take constant-free rules");
+    PositionAction a;
+    a.pos = static_cast<std::uint32_t>(p);
+    auto [it, fresh] =
+        slots.try_emplace(t.name(), static_cast<int>(slots.size()));
+    a.var_slot = it->second;
+    a.bind = fresh;
+    return a;
   };
 
   // Delta atom first: every position is a scan-side action (no probe).
-  {
-    const Atom& atom = rule.body[delta_position];
-    plan.delta_rel_ = body_rels[delta_position];
-    plan.delta_arity_ = static_cast<std::uint32_t>(atom.arity());
-    for (std::size_t p = 0; p < atom.arity(); ++p) {
-      const Term& t = atom.terms()[p];
-      if (t.is_constant()) {
-        plan.delta_const_checks_.emplace_back(
-            static_cast<std::uint32_t>(p),
-            find_const(t.name(), &plan.never_matches_));
-        continue;
-      }
-      PositionAction a;
-      a.pos = static_cast<std::uint32_t>(p);
-      const bool fresh = slots.count(t.name()) == 0;
-      a.var_slot = slot_of(t.name());
-      a.bind = fresh;
-      plan.delta_actions_.push_back(a);
-    }
+  const Atom& delta_atom = rule.body[delta_position];
+  plan.delta_arity_ = static_cast<std::uint32_t>(delta_atom.arity());
+  for (std::size_t p = 0; p < delta_atom.arity(); ++p) {
+    plan.delta_actions_.push_back(action_for(delta_atom.terms()[p], p));
   }
 
   // Remaining atoms in greedy most-bound-first order (ties by body index),
@@ -103,27 +80,12 @@ BlockJoinPlan BlockJoinPlan::Compile(const Rule& rule,
     step.rel = body_rels[ai];
     step.arity = static_cast<std::uint32_t>(atom.arity());
     step.mask = BoundMask(atom, slots);
-    step.key_width = static_cast<std::uint32_t>(std::popcount(step.mask));
     for (std::size_t p = 0; p < atom.arity(); ++p) {
       const Term& t = atom.terms()[p];
-      if ((step.mask >> p & 1u) != 0) {
-        KeySource src;
-        if (t.is_constant()) {
-          src.is_constant = true;
-          src.constant = find_const(t.name(), &plan.never_matches_);
-        } else {
-          src.var_slot = slots.at(t.name());
-        }
-        step.key_sources.push_back(src);
+      if (p < 32 && (step.mask >> p & 1u) != 0) {
+        step.key_slots.push_back(slots.at(t.name()));
       } else {
-        // Unbound variable: bind on first occurrence in this atom, check
-        // on a repeat (e.g. R(x, y, y) with y fresh).
-        PositionAction a;
-        a.pos = static_cast<std::uint32_t>(p);
-        const bool fresh = slots.count(t.name()) == 0;
-        a.var_slot = slot_of(t.name());
-        a.bind = fresh;
-        step.actions.push_back(a);
+        step.actions.push_back(action_for(t, p));
       }
     }
     plan.steps_.push_back(std::move(step));
@@ -132,51 +94,22 @@ BlockJoinPlan BlockJoinPlan::Compile(const Rule& rule,
   plan.head_slots_.reserve(rule.head.arity());
   for (const Term& t : rule.head.terms()) {
     auto it = slots.find(t.name());
-    if (it == slots.end()) return plan;  // head var unbound in body
+    QCONT_CHECK_MSG(it != slots.end(), "head variable not bound in rule body");
     plan.head_slots_.push_back(it->second);
   }
   plan.num_vars_ = slots.size();
-  plan.valid_ = true;
   return plan;
-}
-
-void BlockJoinPlan::Execute(const Database& all, const Database& delta,
-                            std::size_t block_rows,
-                            std::vector<ValueId>* out_rows,
-                            std::size_t* num_rows,
-                            HomSearchStats* stats) const {
-  QCONT_CHECK(valid_);
-  const std::size_t dn = delta.NumRows(delta_rel_);
-  if (dn == 0) return;
-  if (delta.Arity(delta_rel_) != delta_arity_) return;
-  const std::span<const ValueId> arena = delta.Arena(delta_rel_);
-  if (!arena.empty()) {
-    Execute(all, arena, delta_arity_, block_rows, out_rows, num_rows, stats);
-    return;
-  }
-  // A sharded delta spreads its rows over per-shard arenas; flatten a
-  // temporary copy so the core loop has one shape.
-  std::vector<ValueId> flat;
-  flat.reserve(dn * delta_arity_);
-  for (std::size_t r = 0; r < dn; ++r) {
-    const std::span<const ValueId> row = delta.Row(delta_rel_, r);
-    flat.insert(flat.end(), row.begin(), row.end());
-  }
-  Execute(all, flat, delta_arity_, block_rows, out_rows, num_rows, stats);
 }
 
 void BlockJoinPlan::Execute(const Database& all,
                             std::span<const ValueId> delta_rows,
-                            std::uint32_t delta_arity, std::size_t block_rows,
+                            std::size_t num_delta_rows, std::size_t block_rows,
                             std::vector<ValueId>* out_rows,
                             std::size_t* num_rows,
                             HomSearchStats* stats) const {
-  QCONT_CHECK(valid_);
-  if (never_matches_) return;
-  if (delta_arity != delta_arity_) return;
-  const std::size_t dn =
-      delta_arity == 0 ? 0 : delta_rows.size() / delta_arity;
+  const std::size_t dn = num_delta_rows;
   if (dn == 0) return;
+  QCONT_CHECK(delta_rows.size() == dn * delta_arity_);
   for (const AtomStep& step : steps_) {
     if (all.NumRows(step.rel) > 0 && all.Arity(step.rel) != step.arity) {
       return;
@@ -184,6 +117,8 @@ void BlockJoinPlan::Execute(const Database& all,
   }
   if (block_rows == 0) block_rows = 1;
 
+  // A binding of a variable-free body (arity-0 atoms only) still takes one
+  // frontier slot, so frontier rows stay countable.
   const std::size_t nv = std::max<std::size_t>(num_vars_, 1);
   std::vector<ValueId> frontier;
   std::vector<ValueId> next;
@@ -195,28 +130,19 @@ void BlockJoinPlan::Execute(const Database& all,
     // Stage 0: scan the delta block into the initial frontier.
     frontier.clear();
     for (std::size_t r = base; r < base + bn; ++r) {
-      const ValueId* row = delta_rows.data() + r * delta_arity;
+      const ValueId* row = delta_rows.data() + r * delta_arity_;
       ++stats->atom_attempts;
       ++stats->scan_candidates;
-      bool ok = true;
-      for (const auto& [pos, id] : delta_const_checks_) {
-        if (row[pos] != id) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) continue;
       const std::size_t at = frontier.size();
       frontier.resize(at + nv, 0);
       for (const PositionAction& a : delta_actions_) {
         if (a.bind) {
           frontier[at + a.var_slot] = row[a.pos];
         } else if (frontier[at + a.var_slot] != row[a.pos]) {
-          ok = false;
+          frontier.resize(at);
           break;
         }
       }
-      if (!ok) frontier.resize(at);
     }
 
     // One ProbeMany per atom per block: gather every frontier row's key,
@@ -225,14 +151,12 @@ void BlockJoinPlan::Execute(const Database& all,
     for (const AtomStep& step : steps_) {
       const std::size_t fcount = frontier.size() / nv;
       if (fcount == 0) break;
-      const std::uint32_t w = step.key_width;
+      const std::size_t w = step.key_slots.size();
       keys.resize(fcount * w);
       for (std::size_t i = 0; i < fcount; ++i) {
         const ValueId* binding = frontier.data() + i * nv;
-        for (std::uint32_t k = 0; k < w; ++k) {
-          const KeySource& src = step.key_sources[k];
-          keys[i * w + k] =
-              src.is_constant ? src.constant : binding[src.var_slot];
+        for (std::size_t k = 0; k < w; ++k) {
+          keys[i * w + k] = binding[step.key_slots[k]];
         }
       }
       hits.assign(fcount, {});
@@ -249,16 +173,14 @@ void BlockJoinPlan::Execute(const Database& all,
           const ValueId* row = rows_view[row_idx];
           const std::size_t at = next.size();
           next.insert(next.end(), binding, binding + nv);
-          bool ok = true;
           for (const PositionAction& a : step.actions) {
             if (a.bind) {
               next[at + a.var_slot] = row[a.pos];
             } else if (next[at + a.var_slot] != row[a.pos]) {
-              ok = false;
+              next.resize(at);
               break;
             }
           }
-          if (!ok) next.resize(at);
         }
       }
       frontier.swap(next);

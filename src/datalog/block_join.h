@@ -32,50 +32,34 @@ namespace qcont {
 class BlockJoinPlan {
  public:
   /// Compiles a plan for `rule` with the atom at `delta_position` matched
-  /// against the delta database. `body_rels` are the pre-interned relation
-  /// ids of the body atoms; constants are resolved through `pool`. Returns
-  /// an invalid plan (check valid()) when the rule shape is unsupported —
-  /// an atom wider than 32 positions or a non-variable head term — in
-  /// which case the caller falls back to the recursive engine.
+  /// against the delta rows. `body_rels` are the pre-interned relation ids
+  /// of the body atoms. The rule must be constant-free and range-restricted
+  /// — what `DatalogProgram::Validate()` guarantees — and may have atoms of
+  /// any arity, the head and the delta atom included: probe keys cover a
+  /// step atom's first 32 positions (the width of a probe mask), later
+  /// positions are bound or checked per candidate row.
   static BlockJoinPlan Compile(const Rule& rule,
                                std::span<const RelationId> body_rels,
-                               int delta_position, const Interner& pool);
+                               int delta_position);
 
   BlockJoinPlan() = default;
 
-  bool valid() const { return valid_; }
-
-  /// Joins every delta row (in blocks of `block_rows`) through the plan,
+  /// Joins `num_delta_rows` delta rows (flattened in `delta_rows` with the
+  /// delta atom's arity as stride; the count is explicit because arity-0
+  /// rows take no space) through the plan, in blocks of `block_rows`,
   /// appending each match's head row to `out_rows` (stride = head arity)
   /// and bumping `*num_rows` per match. Probe traffic lands in `stats`
   /// (index_probes/index_candidates for the ProbeMany steps,
   /// scan_candidates for the delta scan, atom_attempts per candidate).
-  void Execute(const Database& all, const Database& delta,
-               std::size_t block_rows, std::vector<ValueId>* out_rows,
-               std::size_t* num_rows, HomSearchStats* stats) const;
-
-  /// Same join over a raw delta buffer: `delta_rows` holds the delta
-  /// relation's rows flattened with stride `delta_arity`. This is the
-  /// buffered-delta fast path of the semi-naive loop, which skips
-  /// materializing a Database for each round's delta when every join of
-  /// the program has a valid plan.
   void Execute(const Database& all, std::span<const ValueId> delta_rows,
-               std::uint32_t delta_arity, std::size_t block_rows,
+               std::size_t num_delta_rows, std::size_t block_rows,
                std::vector<ValueId>* out_rows, std::size_t* num_rows,
                HomSearchStats* stats) const;
 
  private:
-  // Per masked position of a step's probe key, ascending by position:
-  // either a constant's interned id or the frontier slot the value comes
-  // from.
-  struct KeySource {
-    bool is_constant = false;
-    ValueId constant = 0;
-    int var_slot = -1;
-  };
   // Unbound position handled outside the probe key: first occurrence of a
-  // variable binds its frontier slot, a repeat within the same atom checks
-  // against the slot bound moments earlier.
+  // variable binds its frontier slot, a repeat — or a variable bound
+  // earlier at a position past the probe mask — checks against the slot.
   struct PositionAction {
     std::uint32_t pos = 0;
     int var_slot = -1;
@@ -84,21 +68,16 @@ class BlockJoinPlan {
   struct AtomStep {
     RelationId rel = kNoRelation;
     std::uint32_t arity = 0;
-    std::uint32_t mask = 0;       // bound positions (constants + bound vars)
-    std::uint32_t key_width = 0;  // popcount(mask)
-    std::vector<KeySource> key_sources;
+    std::uint32_t mask = 0;  // bound positions among the first 32
+    // Frontier slot of each masked position's key value, ascending by
+    // position (popcount(mask) entries).
+    std::vector<int> key_slots;
     std::vector<PositionAction> actions;
   };
 
-  bool valid_ = false;
-  // A body constant that was never interned cannot occur in any fact, so
-  // the join is statically empty (still a valid plan).
-  bool never_matches_ = false;
   std::size_t num_vars_ = 0;
-  RelationId delta_rel_ = kNoRelation;
   std::uint32_t delta_arity_ = 0;
-  std::vector<PositionAction> delta_actions_;  // binds + checks, incl. consts
-  std::vector<std::pair<std::uint32_t, ValueId>> delta_const_checks_;
+  std::vector<PositionAction> delta_actions_;
   std::vector<AtomStep> steps_;    // non-delta atoms in join order
   std::vector<int> head_slots_;    // frontier slot per head position
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -52,41 +53,34 @@ std::vector<CompiledRule> CompileRules(const DatalogProgram& program,
   return compiled;
 }
 
-// One rule firing: the derived head tuples plus this firing's counters.
-// Stats are task-local by construction — no pointer is shared between
-// concurrent firings; callers fold `stats` in with Merge at the join.
-//
-// The indexed engine fires through the interned-row face (`rows` holds the
-// head tuples flattened with stride head_arity, `num_rows` counts them so
-// arity-0 heads stay countable); the scan engine falls back to string
-// tuples in `tuples`. Exactly one of the two shapes is filled, flagged by
-// `id_path`.
+// Delta rows per block-join task: bounds frontier memory, and splits one
+// (rule, delta position) join of a wide delta over several pool tasks.
+constexpr std::size_t kDeltaBlockRows = 1024;
+
+// One rule firing: the derived head rows, flattened with stride
+// head_arity (`num_rows` counts them, so arity-0 heads stay countable),
+// plus this firing's counters. Stats are task-local by construction — no
+// pointer is shared between concurrent firings; callers fold `stats` in
+// with Merge at the join.
 struct FiredRule {
-  std::vector<Tuple> tuples;
   std::vector<ValueId> rows;
   std::size_t num_rows = 0;
-  bool id_path = false;
   DatalogEvalStats stats;
 };
 
-// Derives the head tuples produced by `cr` over `db`. If `delta_position`
-// is >= 0, the body atom at that index is matched against `delta` instead
-// of `db` (the semi-naive restriction "at least one new fact"), realized by
-// pointing that atom's search at the delta database — no copies, no
-// renaming; delta and db share a value pool so the indexed join applies
-// (index the delta, probe the full relation, and vice versa: the searcher
-// orders atoms by candidate count, so whichever side is smaller drives).
-FiredRule FireRule(const CompiledRule& cr, const Database& db,
-                   const Database* delta, int delta_position,
+// Derives the head rows produced by `cr`, matching body atom i against
+// `*dbs[i]`. The databases share one value pool, so the indexed join spans
+// them (a semi-naive scan task points its delta atom at the delta
+// database). The scan engine (`use_index=false`) enumerates string
+// assignments; their values are mapped back to pool ids.
+FiredRule FireRule(const CompiledRule& cr,
+                   const std::vector<const Database*>& dbs,
                    const HomSearchOptions& options) {
   const Rule& rule = *cr.rule;
-  std::vector<const Database*> dbs(rule.body.size(), &db);
-  if (delta_position >= 0) dbs[delta_position] = delta;
   FiredRule out;
   RowEnumerator rows(rule.body, dbs, cr.body_rels, /*fixed=*/{},
                      &out.stats.hom, options);
   if (rows.valid()) {
-    out.id_path = true;
     std::vector<int> head_slots;
     head_slots.reserve(cr.head_arity);
     for (const Term& v : rule.head.terms()) {
@@ -105,12 +99,12 @@ FiredRule FireRule(const CompiledRule& cr, const Database& db,
   EnumerateHomomorphismsOver(
       rule.body, dbs, cr.body_rels, /*fixed=*/{},
       [&](const Assignment& h) {
-        Tuple t;
-        t.reserve(rule.head.arity());
+        // Head variables occur in the body (safety), so a head with terms
+        // has a body database to resolve them through.
         for (const Term& v : rule.head.terms()) {
-          t.push_back(h.at(v.name()));
+          out.rows.push_back(dbs[0]->ValueIdOf(h.at(v.name())));
         }
-        out.tuples.push_back(std::move(t));
+        ++out.num_rows;
         ++out.stats.rule_firings;
         return true;
       },
@@ -118,135 +112,137 @@ FiredRule FireRule(const CompiledRule& cr, const Database& db,
   return out;
 }
 
-// Serial merge used by the naive rounds and semi-naive round 0: insert the
-// firing's tuples into `all` (and `delta`, if given) immediately, so later
-// rules of the same round see them.
-void MergeSerial(const CompiledRule& cr, FiredRule& fired, Database& all,
-                 Database* delta, bool* changed, DatalogEvalStats* stats) {
-  if (fired.id_path) {
-    for (std::size_t i = 0; i < fired.num_rows; ++i) {
-      std::span<const ValueId> row(fired.rows.data() + i * cr.head_arity,
-                                   cr.head_arity);
-      if (all.AddRow(cr.head_rel, row)) {
-        if (delta != nullptr) delta->AddRow(cr.head_rel, row);
-        if (changed != nullptr) *changed = true;
-        if (stats != nullptr) ++stats->derived_facts;
-      }
-    }
-    return;
-  }
-  const std::string& head = cr.rule->head.predicate();
-  for (Tuple& t : fired.tuples) {
-    bool added;
-    if (delta != nullptr) {
-      added = all.AddFact(head, t);
-      if (added) delta->AddFact(head, std::move(t));
-    } else {
-      added = all.AddFact(head, std::move(t));
-    }
-    if (added) {
-      if (changed != nullptr) *changed = true;
-      if (stats != nullptr) ++stats->derived_facts;
-    }
-  }
-}
-
-// One relation's slice of a round delta in the buffered fast path: rows
-// flattened with stride `arity`, kept in first-touch order. Carries no
-// dedup structure of its own — the round-barrier `Database::AddRowBatch`
-// deduplicates candidates against the database and within the round in one
+// One relation's slice of a round delta: rows flattened with stride
+// `arity`, kept in first-touch order, with an explicit row count (an
+// arity-0 relation's one row takes no space). Carries no dedup structure
+// of its own — the round-barrier `Database::AddRowBatch` deduplicates
+// candidates against the database and within the round in one
 // shard-parallel pass (DESIGN.md §17), so between rounds the buffer holds
 // candidates, and after the barrier it holds the committed survivors.
 struct DeltaRows {
   RelationId rel = kNoRelation;
   std::uint32_t arity = 0;
+  std::size_t count = 0;
   std::vector<ValueId> rows;
-
-  std::size_t count() const { return arity == 0 ? 0 : rows.size() / arity; }
 };
 
-// Semi-naive rounds 1..n over flat per-relation delta buffers instead of a
-// per-round Database. Only reachable when every (rule, intensional
-// position) join compiled to a valid block plan and every head arity fits
-// a probe mask. Each round: split every (plan, non-empty delta buffer)
-// join into block-sized pool tasks (so one wide delta still fans out
-// across workers), block-join them in parallel against the frozen `all`,
-// then commit each head relation's concatenated candidates with one
-// shard-parallel AddRowBatch at the barrier. This skips the per-round
-// Database entirely — no string-tuple materialization on the round path,
-// no second hash insert per derived row — and at P shards the commit
-// claims rows into P independent tables with no shared locks. The derived
-// database (row order, interning order) and all engine counters are
-// bit-identical to the serial AddRow loop for every thread and shard
-// count: tasks are merged in (join, block) order, which is the serial
-// block order, and AddRowBatch commits survivors in candidate order.
-void EvaluateRoundsBuffered(const std::vector<CompiledRule>& compiled,
-                            const std::vector<std::vector<BlockJoinPlan>>& plans,
-                            const EvalOptions& options, const Database& delta0,
-                            Database& all, std::uint64_t* round,
-                            DatalogEvalStats* stats) {
-  // Round 0's delta arrives as a Database (its rules fire serially and need
-  // incremental visibility); flatten it into buffers once.
-  std::vector<DeltaRows> delta;
+// A round's delta: one DeltaRows per relation, in first-touch order.
+struct RoundDelta {
+  std::vector<DeltaRows> bufs;
   std::unordered_map<RelationId, std::size_t> slot_of;
-  auto buffer_for = [&](std::vector<DeltaRows>& bufs, RelationId rel,
-                        std::uint32_t arity) -> DeltaRows& {
+
+  DeltaRows& For(RelationId rel, std::size_t arity) {
     auto [it, added] = slot_of.try_emplace(rel, bufs.size());
     if (added) {
       bufs.emplace_back();
       bufs.back().rel = rel;
-      bufs.back().arity = arity;
+      bufs.back().arity = static_cast<std::uint32_t>(arity);
     }
     return bufs[it->second];
+  }
+  const DeltaRows* Find(RelationId rel) const {
+    auto it = slot_of.find(rel);
+    return it == slot_of.end() ? nullptr : &bufs[it->second];
+  }
+  std::size_t Total() const {
+    std::size_t total = 0;
+    for (const DeltaRows& buf : bufs) total += buf.count;
+    return total;
+  }
+};
+
+// Serial merge used by the naive rounds and semi-naive round 0: add the
+// firing's rows to `all` immediately, so later rules of the same round see
+// them, and append the new ones to `delta`, if given. Returns how many
+// were new.
+std::size_t MergeSerial(const CompiledRule& cr, const FiredRule& fired,
+                        Database& all, DeltaRows* delta) {
+  std::size_t added = 0;
+  for (std::size_t i = 0; i < fired.num_rows; ++i) {
+    const std::span<const ValueId> row(fired.rows.data() + i * cr.head_arity,
+                                       cr.head_arity);
+    if (!all.AddRow(cr.head_rel, row)) continue;
+    if (delta != nullptr) {
+      delta->rows.insert(delta->rows.end(), row.begin(), row.end());
+      ++delta->count;
+    }
+    ++added;
+  }
+  return added;
+}
+
+// Semi-naive rounds 1..n, the one delta loop: every round's delta lives in
+// flat per-relation row buffers, never in a Database. Each round: split
+// every (rule, intensional position) join with a non-empty delta into
+// block-sized pool tasks (so one wide delta still fans out across
+// workers), block-join them in parallel against the frozen `all`, then
+// commit each head relation's concatenated candidates with one
+// shard-parallel AddRowBatch at the barrier (a propositional head's one
+// row with AddRow). The scan reference (`use_index=false`) runs in the
+// same loop: one task per join, the recursive scan engine over a delta
+// Database built from the round's buffers. The derived database (row
+// order, interning order) and all engine counters are bit-identical for
+// every thread and shard count: tasks are merged in (join, block) order,
+// which is the serial block order, and AddRowBatch commits survivors in
+// candidate order.
+void EvaluateRounds(const DatalogProgram& program,
+                    const std::vector<CompiledRule>& compiled,
+                    const EvalOptions& options,
+                    const HomSearchOptions& hom_options, RoundDelta delta,
+                    Database& all, std::uint64_t* round,
+                    DatalogEvalStats* stats) {
+  // One plan per (rule, intensional position), compiled once; joins are
+  // kept rule-major, position-minor.
+  struct DeltaJoin {
+    const CompiledRule* rule;
+    int position;
+    BlockJoinPlan plan;
   };
-  for (const RelationId rel : delta0.RelationIds()) {
-    const std::size_t n = delta0.NumRows(rel);
-    if (n == 0) continue;
-    DeltaRows& buf = buffer_for(
-        delta, rel, static_cast<std::uint32_t>(delta0.Arity(rel)));
-    const Database::RowView rows = delta0.Rows(rel);
-    buf.rows.reserve(n * buf.arity);
-    for (std::size_t i = 0; i < n; ++i) {
-      const ValueId* row = rows[static_cast<std::uint32_t>(i)];
-      buf.rows.insert(buf.rows.end(), row, row + buf.arity);
+  std::vector<DeltaJoin> joins;
+  for (const CompiledRule& cr : compiled) {
+    for (std::size_t i = 0; i < cr.rule->body.size(); ++i) {
+      if (!program.IsIntensional(cr.rule->body[i].predicate())) continue;
+      const int pos = static_cast<int>(i);
+      joins.push_back(DeltaJoin{
+          &cr, pos, BlockJoinPlan::Compile(*cr.rule, cr.body_rels, pos)});
     }
   }
-
-  // A (rule, delta position) join restricted to one block of delta rows.
-  // Tasks are enumerated join-major, block-minor, and their outputs are
-  // concatenated in task order — exactly the order one Execute call over
-  // the whole buffer produces, since Execute chunks from row 0 in
-  // `block` steps.
+  // A join restricted to one block of delta rows. Tasks are enumerated
+  // join-major, block-minor, and their outputs are concatenated in task
+  // order — exactly the order one Execute call over the whole buffer
+  // produces, since Execute chunks from row 0 in kDeltaBlockRows steps.
   struct DeltaTask {
-    const CompiledRule* rule;
-    const BlockJoinPlan* plan;
+    const DeltaJoin* join;
     const DeltaRows* buf;
     std::size_t begin = 0;  // first delta row of the block
     std::size_t end = 0;    // one past the last
   };
-  const std::size_t block = std::max<std::size_t>(options.delta_block_rows, 1);
   std::vector<DeltaTask> tasks;
-  std::vector<std::uint32_t> added;
-  std::vector<ValueId> committed;  // scratch, reused across rounds
-  std::size_t total = 0;
-  for (const DeltaRows& buf : delta) total += buf.count();
+  std::vector<std::uint32_t> added;  // scratch, reused across rounds
+  std::size_t total = delta.Total();
   while (total > 0) {
     ObsSpan round_span(options.obs, "datalog/round", "datalog");
     round_span.AddArg("round", (*round)++);
     if (stats != nullptr) ++stats->iterations;
-    tasks.clear();
-    for (std::size_t r = 0; r < compiled.size(); ++r) {
-      const CompiledRule& cr = compiled[r];
-      for (std::size_t i = 0; i < cr.rule->body.size(); ++i) {
-        if (!plans[r][i].valid()) continue;  // extensional position
-        auto it = slot_of.find(cr.body_rels[i]);
-        if (it == slot_of.end() || delta[it->second].count() == 0) continue;
-        const DeltaRows& buf = delta[it->second];
-        const std::size_t n = buf.count();
-        for (std::size_t b = 0; b < n; b += block) {
-          tasks.push_back(DeltaTask{&cr, &plans[r][i], &buf, b,
-                                    std::min(n, b + block)});
+    std::optional<Database> delta_db;
+    if (!options.use_index) {
+      delta_db.emplace(all.pool());
+      for (const DeltaRows& buf : delta.bufs) {
+        for (std::size_t r = 0; r < buf.count; ++r) {
+          delta_db->AddRow(buf.rel, std::span<const ValueId>(buf.rows).subspan(
+                                        r * buf.arity, buf.arity));
         }
+      }
+    }
+    tasks.clear();
+    for (const DeltaJoin& join : joins) {
+      const DeltaRows* buf =
+          delta.Find(join.rule->body_rels[join.position]);
+      if (buf == nullptr || buf->count == 0) continue;
+      const std::size_t n = buf->count;
+      const std::size_t block = options.use_index ? kDeltaBlockRows : n;
+      for (std::size_t b = 0; b < n; b += block) {
+        tasks.push_back(DeltaTask{&join, buf, b, std::min(n, b + block)});
       }
     }
     round_span.AddArg("tasks", tasks.size());
@@ -255,59 +251,63 @@ void EvaluateRoundsBuffered(const std::vector<CompiledRule>& compiled,
           ObsSpan join_span(options.obs, "datalog/delta_join", "datalog");
           join_span.AddArg("task", t);
           const DeltaTask& task = tasks[t];
+          const CompiledRule& cr = *task.join->rule;
+          if (delta_db.has_value()) {
+            std::vector<const Database*> dbs(cr.rule->body.size(), &all);
+            dbs[task.join->position] = &*delta_db;
+            return FireRule(cr, dbs, hom_options);
+          }
           FiredRule out;
-          out.id_path = true;
-          task.plan->Execute(
+          const std::uint32_t arity = task.buf->arity;
+          task.join->plan.Execute(
               all,
               std::span<const ValueId>(task.buf->rows)
-                  .subspan(task.begin * task.buf->arity,
-                           (task.end - task.begin) * task.buf->arity),
-              task.buf->arity, block, &out.rows, &out.num_rows,
-              &out.stats.hom);
+                  .subspan(task.begin * arity, (task.end - task.begin) * arity),
+              task.end - task.begin, kDeltaBlockRows, &out.rows,
+              &out.num_rows, &out.stats.hom);
           out.stats.rule_firings = out.num_rows;
           return out;
         });
     // Round barrier. Gather each head relation's candidate rows in task
-    // order (relations keyed by the first producing task, exactly the
-    // first-touch order of the per-task merge this replaces), then commit
+    // order (relations keyed by the first producing task), then commit
     // each relation with one shard-parallel AddRowBatch: it deduplicates
     // against the database and within the batch, assigns global row
     // numbers in candidate order, and reports the committed survivors —
     // which are precisely the next round's delta.
     ObsSpan merge_span(options.obs, "datalog/shard_merge", "datalog");
-    std::vector<DeltaRows> next;
-    slot_of.clear();
+    RoundDelta next;
     std::size_t candidates = 0;
     for (std::size_t t = 0; t < tasks.size(); ++t) {
       if (stats != nullptr) stats->Merge(fired[t].stats);
       if (fired[t].num_rows == 0) continue;
-      const CompiledRule& cr = *tasks[t].rule;
-      DeltaRows& buf = buffer_for(
-          next, cr.head_rel, static_cast<std::uint32_t>(cr.head_arity));
+      const CompiledRule& cr = *tasks[t].join->rule;
+      DeltaRows& buf = next.For(cr.head_rel, cr.head_arity);
       buf.rows.insert(buf.rows.end(), fired[t].rows.begin(),
                       fired[t].rows.end());
+      buf.count += fired[t].num_rows;
       candidates += fired[t].num_rows;
     }
     merge_span.AddArg("candidates", candidates);
-    merge_span.AddArg("relations", next.size());
-    total = 0;
-    for (DeltaRows& buf : next) {
-      added.clear();
-      const std::size_t got =
-          all.AddRowBatch(buf.rel, buf.arity, buf.rows, options.exec, &added);
-      if (stats != nullptr) stats->derived_facts += got;
-      // Replace the candidates with the committed survivors (in commit
-      // order) — the relation's slice of the next delta.
-      const Database::RowView view = all.Rows(buf.rel);
-      committed.clear();
-      committed.reserve(added.size() * buf.arity);
-      for (const std::uint32_t g : added) {
-        const ValueId* row = view[g];
-        committed.insert(committed.end(), row, row + buf.arity);
+    merge_span.AddArg("relations", next.bufs.size());
+    for (DeltaRows& buf : next.bufs) {
+      if (buf.arity == 0) {
+        // A propositional head has a single row, the empty one.
+        buf.count = all.AddRow(buf.rel, {}) ? 1 : 0;
+      } else {
+        added.clear();
+        buf.count = all.AddRowBatch(buf.rel, buf.arity, buf.rows,
+                                    options.exec, &added);
+        // Replace the candidates with the committed survivors (in commit
+        // order) — the relation's slice of the next delta.
+        const Database::RowView view = all.Rows(buf.rel);
+        buf.rows.clear();
+        for (const std::uint32_t g : added) {
+          buf.rows.insert(buf.rows.end(), view[g], view[g] + buf.arity);
+        }
       }
-      buf.rows.assign(committed.begin(), committed.end());
-      total += got;
+      if (stats != nullptr) stats->derived_facts += buf.count;
     }
+    total = next.Total();
     round_span.AddArg("delta_facts", total);
     delta = std::move(next);
   }
@@ -358,156 +358,44 @@ Result<Database> EvaluateProgramImpl(const DatalogProgram& program,
       round_span.AddArg("round", round++);
       if (stats != nullptr) ++stats->iterations;
       for (const CompiledRule& cr : compiled) {
-        FiredRule fired = FireRule(cr, all, nullptr, -1, hom_options);
-        if (stats != nullptr) stats->Merge(fired.stats);
-        MergeSerial(cr, fired, all, nullptr, &changed, stats);
+        const FiredRule fired = FireRule(
+            cr, std::vector<const Database*>(cr.rule->body.size(), &all),
+            hom_options);
+        const std::size_t got = MergeSerial(cr, fired, all, nullptr);
+        changed = changed || got > 0;
+        if (stats != nullptr) {
+          stats->Merge(fired.stats);
+          stats->derived_facts += got;
+        }
       }
     }
     return all;
   }
 
   // Semi-naive: round 0 fires all rules on the EDB; later rounds require at
-  // least one body atom to match the previous round's delta. The deltas
-  // share `all`'s value pool, so the indexed join spans both databases.
-  // Round 0 stays serial: like the naive rounds, each rule sees the facts
-  // added by the rules before it.
-  Database delta(all.pool());
-  delta.set_obs(options.obs);
+  // least one body atom to match the previous round's delta. Round 0 stays
+  // serial: like the naive rounds, each rule sees the facts added by the
+  // rules before it. Its survivors seed the round-1 delta buffers.
+  RoundDelta delta;
   {
     ObsSpan round_span(options.obs, "datalog/round", "datalog");
     round_span.AddArg("round", round++);
     if (stats != nullptr) ++stats->iterations;
     for (const CompiledRule& cr : compiled) {
-      FiredRule fired = FireRule(cr, all, nullptr, -1, hom_options);
-      if (stats != nullptr) stats->Merge(fired.stats);
-      MergeSerial(cr, fired, all, &delta, nullptr, stats);
-    }
-    round_span.AddArg("delta_facts", delta.NumFacts());
-  }
-  // Block-join plans are compiled once per (rule, intensional position),
-  // after round 0 so body constants resolve against the settled pool. When
-  // EVERY join of the program has a valid plan and every head fits a probe
-  // mask, the loop runs in buffered-delta mode: each round's delta lives
-  // in flat per-relation row buffers instead of a full Database (no string
-  // tuples, no domain tracking, no second hash insert per derived row).
-  const bool use_block_joins = options.block_delta_joins && options.use_index;
-  bool buffered = use_block_joins;
-  std::vector<std::vector<BlockJoinPlan>> plans(compiled.size());
-  if (use_block_joins) {
-    for (std::size_t r = 0; r < compiled.size(); ++r) {
-      const CompiledRule& cr = compiled[r];
-      if (cr.head_arity < 1 || cr.head_arity > 32) buffered = false;
-      plans[r].resize(cr.rule->body.size());
-      for (std::size_t i = 0; i < cr.rule->body.size(); ++i) {
-        if (!program.IsIntensional(cr.rule->body[i].predicate())) continue;
-        plans[r][i] = BlockJoinPlan::Compile(*cr.rule, cr.body_rels,
-                                             static_cast<int>(i), *all.pool());
-        if (!plans[r][i].valid()) buffered = false;
+      const FiredRule fired = FireRule(
+          cr, std::vector<const Database*>(cr.rule->body.size(), &all),
+          hom_options);
+      const std::size_t got = MergeSerial(
+          cr, fired, all, &delta.For(cr.head_rel, cr.head_arity));
+      if (stats != nullptr) {
+        stats->Merge(fired.stats);
+        stats->derived_facts += got;
       }
     }
+    round_span.AddArg("delta_facts", delta.Total());
   }
-
-  if (buffered) {
-    EvaluateRoundsBuffered(compiled, plans, options, delta, all, &round,
-                           stats);
-    return all;
-  }
-  while (delta.NumFacts() > 0) {
-    ObsSpan round_span(options.obs, "datalog/round", "datalog");
-    round_span.AddArg("round", round++);
-    if (stats != nullptr) ++stats->iterations;
-    Database next_delta(all.pool());
-    next_delta.set_obs(options.obs);
-    // The (rule, delta position) joins of a round are independent: they
-    // only read `all` and `delta`, which are frozen until the barrier. Each
-    // runs as its own pool task into a private FiredRule; the buffers are
-    // merged below in task order, so the result is bit-identical to the
-    // serial loop for every thread count (including insertion order, which
-    // fixes the interning order of new values).
-    struct DeltaJoin {
-      const CompiledRule* rule;
-      int position;
-      const BlockJoinPlan* plan;  // null: recursive engine
-    };
-    std::vector<DeltaJoin> joins;
-    for (std::size_t r = 0; r < compiled.size(); ++r) {
-      const CompiledRule& cr = compiled[r];
-      for (std::size_t i = 0; i < cr.rule->body.size(); ++i) {
-        if (!program.IsIntensional(cr.rule->body[i].predicate())) continue;
-        if (delta.NumRows(cr.body_rels[i]) == 0) continue;
-        const BlockJoinPlan* plan =
-            use_block_joins && plans[r][i].valid() ? &plans[r][i] : nullptr;
-        joins.push_back(DeltaJoin{&cr, static_cast<int>(i), plan});
-      }
-    }
-    round_span.AddArg("joins", joins.size());
-    std::vector<FiredRule> fired = ParallelMap<FiredRule>(
-        options.exec, joins.size(), [&](std::size_t t) {
-          ObsSpan join_span(options.obs, "datalog/delta_join", "datalog");
-          join_span.AddArg("task", t);
-          if (joins[t].plan != nullptr) {
-            FiredRule out;
-            out.id_path = true;
-            joins[t].plan->Execute(all, delta, options.delta_block_rows,
-                                   &out.rows, &out.num_rows, &out.stats.hom);
-            out.stats.rule_firings = out.num_rows;
-            return out;
-          }
-          return FireRule(*joins[t].rule, all, &delta, joins[t].position,
-                          hom_options);
-        });
-    std::vector<std::span<const std::uint32_t>> hits;
-    for (std::size_t t = 0; t < joins.size(); ++t) {
-      if (stats != nullptr) stats->Merge(fired[t].stats);
-      const CompiledRule& cr = *joins[t].rule;
-      if (fired[t].id_path) {
-        const std::size_t arity = cr.head_arity;
-        if (fired[t].num_rows > 0 && arity >= 1 && arity <= 32) {
-          // Batched dedup against `all`: one ProbeMany over the head
-          // relation's primary table resolves every candidate row of this
-          // firing in bucket order.
-          const std::uint32_t mask =
-              arity == 32 ? ~0u : ((1u << arity) - 1u);
-          hits.assign(fired[t].num_rows, {});
-          all.ProbeMany(cr.head_rel, mask, std::span<const ValueId>(fired[t].rows),
-                        std::span<std::span<const std::uint32_t>>(hits));
-          for (std::size_t i = 0; i < fired[t].num_rows; ++i) {
-            if (hits[i].empty()) {
-              next_delta.AddRow(
-                  cr.head_rel,
-                  std::span<const ValueId>(fired[t].rows.data() + i * arity,
-                                           arity));
-            }
-          }
-        } else {
-          for (std::size_t i = 0; i < fired[t].num_rows; ++i) {
-            std::span<const ValueId> row(fired[t].rows.data() + i * arity,
-                                         arity);
-            if (!all.HasRow(cr.head_rel, row)) {
-              next_delta.AddRow(cr.head_rel, row);
-            }
-          }
-        }
-      } else {
-        const std::string& head = cr.rule->head.predicate();
-        for (Tuple& tuple : fired[t].tuples) {
-          if (!all.HasFact(head, tuple)) {
-            next_delta.AddFact(head, std::move(tuple));
-          }
-        }
-      }
-    }
-    for (RelationId rel : next_delta.RelationIds()) {
-      const std::size_t n = next_delta.NumRows(rel);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (all.AddRow(rel, next_delta.Row(rel, i)) && stats != nullptr) {
-          ++stats->derived_facts;
-        }
-      }
-    }
-    round_span.AddArg("delta_facts", next_delta.NumFacts());
-    delta = std::move(next_delta);
-  }
+  EvaluateRounds(program, compiled, options, hom_options, std::move(delta),
+                 all, &round, stats);
   return all;
 }
 

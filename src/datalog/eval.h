@@ -57,32 +57,20 @@ enum class EvalStrategy {
   kSemiNaive,  // delta-driven derivation
 };
 
-/// Full evaluation configuration. `use_index=false` selects the pre-index
-/// scan join path (differential-testing reference). With
-/// `exec.threads > 1`, the semi-naive strategy evaluates each rule's
-/// delta join of a round on its own pool task against the frozen
-/// database; per-task fact buffers and counters are merged in rule order
-/// at the round barrier, so the derived database (including fact
-/// insertion order) and all counters are bit-identical to the serial run.
-/// The naive strategy is the reference implementation and always serial.
+/// Full evaluation configuration. Semi-naive rounds after round 0 join
+/// block-at-a-time (datalog/block_join.h): each (rule, intensional body
+/// position) join compiles one static-order plan, and a round splits every
+/// join with a non-empty delta into pool tasks of a fixed number of delta
+/// rows, run against the frozen database. Task outputs are merged in task
+/// order at the round barrier, so the derived database (including fact
+/// insertion order) and all counters are bit-identical for every
+/// `exec.threads`. `use_index=false` selects the pre-index scan join engine
+/// instead, inside the same round loop (differential-testing reference).
+/// The naive strategy is the other reference and always serial.
 struct EvalOptions {
   EvalStrategy strategy = EvalStrategy::kSemiNaive;
   bool use_index = true;
   ExecContext exec;
-  /// Semi-naive delta rounds join block-at-a-time: each (rule, delta
-  /// position) task compiles a static-order BlockJoinPlan and resolves
-  /// whole blocks of delta rows with one ProbeMany per body atom per
-  /// block, instead of one recursive search per delta row. Falls back to
-  /// the recursive engine per rule when the shape is unsupported (atom
-  /// wider than 32 positions, non-variable head term) and entirely when
-  /// `use_index` is off. The derived database is the same fact set either
-  /// way; per-engine search counters differ.
-  bool block_delta_joins = true;
-  /// Delta rows per block (bounds frontier memory; must be > 0). Also the
-  /// granularity of delta-join task splitting: each (rule, delta position)
-  /// join is submitted to the pool one block at a time, so a round with
-  /// one wide delta still fans out across workers.
-  std::size_t delta_block_rows = 1024;
   /// Hash-shard count P of the working database (base/shard.h, DESIGN.md
   /// §17). The EDB copy is resharded to P before round 0, so the
   /// round-barrier merge (`Database::AddRowBatch`) claims each round's

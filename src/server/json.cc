@@ -95,8 +95,12 @@ std::string JsonValue::Dump() const {
       std::snprintf(buf, sizeof(buf), "%.17g", number_);
       return buf;
     }
-    case Kind::kString:
-      return "\"" + JsonEscape(string_) + "\"";
+    case Kind::kString: {
+      std::string out = "\"";
+      out += JsonEscape(string_);
+      out += '"';
+      return out;
+    }
     case Kind::kArray: {
       std::string out = "[";
       for (std::size_t i = 0; i < array_.size(); ++i) {
@@ -111,7 +115,10 @@ std::string JsonValue::Dump() const {
       for (const auto& [key, value] : object_) {
         if (!first) out += ",";
         first = false;
-        out += "\"" + JsonEscape(key) + "\":" + value.Dump();
+        out += '"';
+        out += JsonEscape(key);
+        out += "\":";
+        out += value.Dump();
       }
       return out + "}";
     }

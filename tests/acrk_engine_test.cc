@@ -187,8 +187,8 @@ TEST(AcrkEngineProperty, RandomRegexCrossValidation) {
     std::vector<RpqAtom> atoms;
     for (int i = 0; i < m; ++i) {
       auto atom = MakeRpqAtom(patterns[rng() % patterns.size()],
-                              Term::Variable("x" + std::to_string(i)),
-                              Term::Variable("x" + std::to_string(i + 1)));
+                              Term::Variable(testgen::Numbered("x", i)),
+                              Term::Variable(testgen::Numbered("x", i + 1)));
       ASSERT_TRUE(atom.ok());
       atoms.push_back(std::move(*atom));
     }

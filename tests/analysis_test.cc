@@ -436,10 +436,10 @@ TEST(RegressionTest, ValidateAgreesWithAnalyzerOnRandomPrograms) {
       const int arity = 1 + static_cast<int>(rng() % 2);
       for (int j = 0; j < arity; ++j) {
         head_terms.push_back(Term::Variable(
-            rng() % 2 == 0 ? "x" + std::to_string(rng() % 4) : "fresh"));
+            rng() % 2 == 0 ? testgen::Numbered("x", rng() % 4) : "fresh"));
       }
       rules.push_back(
-          Rule{Atom("p" + std::to_string(rng() % 2), std::move(head_terms)),
+          Rule{Atom(testgen::Numbered("p", rng() % 2), std::move(head_terms)),
                cq.atoms()});
     }
     const std::string goal = rules.front().head.predicate();

@@ -8,6 +8,7 @@
 #include "cq/database.h"
 #include "cq/homomorphism.h"
 #include "cq/query.h"
+#include "tests/generators.h"
 
 namespace qcont {
 namespace {
@@ -17,11 +18,11 @@ ConjunctiveQuery PathQuery(int n) {
   std::vector<Atom> atoms;
   for (int i = 0; i < n; ++i) {
     atoms.emplace_back("E", std::vector<Term>{
-                                Term::Variable("x" + std::to_string(i)),
-                                Term::Variable("x" + std::to_string(i + 1))});
+                                Term::Variable(testgen::Numbered("x", i)),
+                                Term::Variable(testgen::Numbered("x", i + 1))});
   }
   return ConjunctiveQuery(
-      {Term::Variable("x0"), Term::Variable("x" + std::to_string(n))},
+      {Term::Variable("x0"), Term::Variable(testgen::Numbered("x", n))},
       std::move(atoms));
 }
 
@@ -210,11 +211,11 @@ TEST(DatabaseTest, FlatProbeTableResizesAndCountsCollisions) {
   // Enough distinct keys to push the mask-1 probe table through several
   // capacity doublings (load kept under 3/4).
   for (int i = 0; i < 300; ++i) {
-    db.AddFact("R", {"k" + std::to_string(i), "v" + std::to_string(i % 3)});
+    db.AddFact("R", {testgen::Numbered("k", i), testgen::Numbered("v", i % 3)});
   }
   const RelationId rel = db.RelationIdOf("R");
   for (int i = 0; i < 300; ++i) {
-    const ValueId key = db.ValueIdOf("k" + std::to_string(i));
+    const ValueId key = db.ValueIdOf(testgen::Numbered("k", i));
     EXPECT_EQ(db.Probe(rel, 1u, std::span<const ValueId>(&key, 1)).size(), 1u);
   }
   const DatabaseIndexStats stats = db.index_stats();

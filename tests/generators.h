@@ -15,6 +15,13 @@
 namespace qcont {
 namespace testgen {
 
+/// `prefix` followed by the decimal `i` ("x" + std::to_string(i)). Built by
+/// appending: GCC 12 reports a false -Wrestrict on `literal + std::string`.
+inline std::string Numbered(std::string prefix, long long i) {
+  prefix += std::to_string(i);
+  return prefix;
+}
+
 struct SchemaSpec {
   std::vector<std::pair<std::string, int>> relations;  // (name, arity)
 };
@@ -34,9 +41,7 @@ inline std::vector<std::pair<std::string, Tuple>> RandomFacts(
     const auto& [name, arity] = schema.relations[(*rng)() % schema.relations.size()];
     Tuple t;
     for (int j = 0; j < arity; ++j) {
-      std::string v = "v";  // not "v" + ...: GCC 12 -Wrestrict false positive
-      v += std::to_string((*rng)() % domain);
-      t.push_back(std::move(v));
+      t.push_back(Numbered("v", (*rng)() % domain));
     }
     out.emplace_back(name, std::move(t));
   }
@@ -104,8 +109,7 @@ inline ConjunctiveQuery RandomAcyclicCq(std::mt19937* rng,
       if (!pool.empty() && (*rng)() % 2 == 0) {
         var = pool[(*rng)() % pool.size()];
       } else {
-        var = "y";
-        var += std::to_string(fresh++);
+        var = Numbered("y", fresh++);
       }
       vars.push_back(var);
       used.push_back(var);

@@ -6,6 +6,7 @@
 #include "graphdb/graph_db.h"
 #include "graphdb/rpq.h"
 #include "parser/parser.h"
+#include "tests/generators.h"
 
 namespace qcont {
 namespace {
@@ -13,7 +14,7 @@ namespace {
 GraphDatabase Chain(int n, const std::string& label) {
   GraphDatabase g;
   for (int i = 0; i < n; ++i) {
-    g.AddEdge("n" + std::to_string(i), label, "n" + std::to_string(i + 1));
+    g.AddEdge(testgen::Numbered("n", i), label, testgen::Numbered("n", i + 1));
   }
   return g;
 }

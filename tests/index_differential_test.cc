@@ -147,13 +147,15 @@ TEST(IndexDifferentialTest, SemiNaiveIndexedNeverScansMoreThanScanEngine) {
     DatalogEvalStats indexed_stats, scan_stats;
     EvalOptions indexed_options, scan_options;
     indexed_options.use_index = true;
-    // The candidate-count invariant targets the recursive indexed engine
-    // (a probe returns a subset of a scan). The block-at-a-time engine
-    // fixes its atom order statically and may trade extra candidates for
-    // batched probes; its differential coverage lives in
-    // probe_kernel_test.cc.
-    indexed_options.block_delta_joins = false;
     scan_options.use_index = false;
+    // The candidate-count invariant targets the recursive indexed engine
+    // (a probe returns a subset of a scan), which the naive strategy runs
+    // for every firing. Semi-naive delta rounds use the block-at-a-time
+    // engine, which fixes its atom order statically and may trade extra
+    // candidates for batched probes; its differential coverage lives in
+    // probe_kernel_test.cc.
+    indexed_options.strategy = EvalStrategy::kNaive;
+    scan_options.strategy = EvalStrategy::kNaive;
     auto indexed = EvaluateGoal(program, edb, indexed_options, &indexed_stats);
     auto scan = EvaluateGoal(program, edb, scan_options, &scan_stats);
     ASSERT_TRUE(indexed.ok() && scan.ok()) << "trial " << trial;
@@ -288,8 +290,8 @@ TEST(LayoutDifferentialTest, FactsRowsAndProbesMatchOracle) {
     }
     std::vector<Tuple> keys;
     for (int k = 0; k < 24; ++k) {
-      keys.push_back({"v" + std::to_string(rng() % domain),
-                      "v" + std::to_string(rng() % domain)});
+      keys.push_back({testgen::Numbered("v", rng() % domain),
+                      testgen::Numbered("v", rng() % domain)});
     }
     for (const Database& layout : ShardCopies(db)) {
       const std::string where = "trial " + std::to_string(trial) + " P=" +
@@ -399,7 +401,7 @@ TEST(LayoutDifferentialTest, ShardedGrowthPastLoadKeepsEveryRowProbeable) {
   sharded.Reshard(3);
   const int kRows = 2000;
   for (int i = 1; i < kRows; ++i) {
-    const Tuple t = {"n" + std::to_string(i), "n" + std::to_string(i + 1)};
+    const Tuple t = {testgen::Numbered("n", i), testgen::Numbered("n", i + 1)};
     ASSERT_TRUE(sharded.AddFact("E", t));
     ASSERT_TRUE(plain.AddFact("E", t));
     ASSERT_FALSE(sharded.AddFact("E", t));  // dup routed to the same shard

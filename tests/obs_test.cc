@@ -439,7 +439,7 @@ TEST(ObsParityTest, RpqStatsMatchRegistry) {
   QCONT_SKIP_IF_NOOP();
   GraphDatabase g;
   for (int i = 0; i < 5; ++i) {
-    g.AddEdge("n" + std::to_string(i), "a", "n" + std::to_string(i + 1));
+    g.AddEdge(testgen::Numbered("n", i), "a", testgen::Numbered("n", i + 1));
   }
   auto nfa = ParseRegex("a+");
   ASSERT_TRUE(nfa.ok());

@@ -213,7 +213,7 @@ TEST(ParallelDeterminismTest, UcqContainmentArityErrorsMatchSerial) {
   auto cq = [](int arity) {
     std::vector<Term> head;
     for (int i = 0; i < arity; ++i) {
-      head.push_back(Term::Variable("x" + std::to_string(i)));
+      head.push_back(Term::Variable(testgen::Numbered("x", i)));
     }
     std::vector<Atom> atoms;
     atoms.emplace_back(

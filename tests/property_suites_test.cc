@@ -194,8 +194,8 @@ TEST(RpqProperty, MatchesBruteForcePathSearch) {
     GraphDatabase g;
     const int nodes = 4;
     for (int i = 0; i < 7; ++i) {
-      g.AddEdge("n" + std::to_string(rng() % nodes), rng() % 2 ? "a" : "b",
-                "n" + std::to_string(rng() % nodes));
+      g.AddEdge(testgen::Numbered("n", rng() % nodes), rng() % 2 ? "a" : "b",
+                testgen::Numbered("n", rng() % nodes));
     }
     for (const std::string& pattern : patterns) {
       auto nfa = ParseRegex(pattern);

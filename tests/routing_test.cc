@@ -46,7 +46,7 @@ ConjunctiveQuery RandomCyclicCq(std::mt19937* rng,
         schema.relations[(*rng)() % schema.relations.size()];
     std::vector<Term> terms;
     for (int j = 0; j < arity; ++j) {
-      terms.push_back(Term::Variable("x" + std::to_string((*rng)() % 4)));
+      terms.push_back(Term::Variable(testgen::Numbered("x", (*rng)() % 4)));
     }
     atoms.emplace_back(name, std::move(terms));
   }
@@ -215,7 +215,7 @@ TEST(AnalysisCacheTest, GlobalCacheIsBounded) {
   const std::size_t bound = analysis::kGlobalAnalysisCacheCapacity;
   for (std::size_t i = 0; i <= bound; ++i) {
     ConjunctiveQuery q({Term::Variable("x")},
-                       {Atom("p" + std::to_string(i),
+                       {Atom(testgen::Numbered("p", i),
                              {Term::Variable("x"), Term::Variable("y")})});
     analysis::AnalyzeForRouting(UnionQuery({q}));
   }
