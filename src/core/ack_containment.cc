@@ -40,6 +40,8 @@ struct AckDisjunct {
 // One pass over the query: dense variable ids, the hypergraph, GYO (which
 // decides acyclicity and yields the join forest), and the certificate check
 // of that forest. `level` is max-assigned the query's shared-variable width.
+// Constants are not checked here: CheckContainmentPair rejects them (QC003)
+// before a join forest is used.
 Result<AckDisjunct> PrepareDisjunct(const ConjunctiveQuery& cq, int* level) {
   AckDisjunct d;
   std::vector<const std::string*> names;  // variable id -> name
@@ -50,16 +52,11 @@ Result<AckDisjunct> PrepareDisjunct(const ConjunctiveQuery& cq, int* level) {
     names.push_back(&name);
     return d.num_vars++;
   };
-  bool constant_free = true;
   Hypergraph h;
   for (const Atom& atom : cq.atoms()) {
     std::vector<int> vars;
     for (const Term& t : atom.terms()) {
-      if (t.is_variable()) {
-        vars.push_back(var_id(t.name()));
-      } else {
-        constant_free = false;
-      }
+      if (t.is_variable()) vars.push_back(var_id(t.name()));
     }
     std::vector<int> edge = vars;
     std::sort(edge.begin(), edge.end());
@@ -73,10 +70,6 @@ Result<AckDisjunct> PrepareDisjunct(const ConjunctiveQuery& cq, int* level) {
     return FailedPreconditionError(
         "the ACk engine requires an acyclic UCQ; disjunct is cyclic: " +
         cq.ToString());
-  }
-  if (!constant_free) {
-    return InvalidArgumentError(
-        "the containment engines require constant-free queries");
   }
   // Certify the join tree (width-1 GHW certificate) before trusting it.
   QCONT_RETURN_IF_ERROR(CertificateFromJoinTree(h, *jt).status());
@@ -101,6 +94,18 @@ Result<AckDisjunct> PrepareDisjunct(const ConjunctiveQuery& cq, int* level) {
   // AC1 is the lowest level of the hierarchy by convention.
   *level = std::max({*level, 1, MaxSharedVertices(h)});
   return d;
+}
+
+// Θ's join forests, one per disjunct in order; kFailedPrecondition at the
+// first cyclic disjunct. `level` is max-assigned per disjunct prepared.
+Result<std::vector<AckDisjunct>> PrepareForests(const UnionQuery& ucq,
+                                                int* level) {
+  std::vector<AckDisjunct> disjuncts;
+  for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
+    QCONT_ASSIGN_OR_RETURN(AckDisjunct d, PrepareDisjunct(cq, level));
+    disjuncts.push_back(std::move(d));
+  }
+  return disjuncts;
 }
 
 // ---------------------------------------------------------------------------
@@ -267,22 +272,35 @@ internal::FixpointConfig AckConfig(const AckEngineLimits& limits) {
   return config;
 }
 
-Result<ContainmentAnswer> RunAck(const DatalogProgram& program,
-                                 const UnionQuery& ucq,
-                                 const AckEngineLimits& limits,
-                                 internal::FixpointRun* run, int* level) {
+// Validates the pair, then decides it over Θ's join forests: `forests`
+// (built at `level`) or, when null, prepared here. The run accumulates
+// locally and is published once, on every exit path: the per-event counters
+// and the level unconditionally, the post-fixpoint snapshot only when the
+// fixpoint completed (see AckEngineStats).
+Result<ContainmentAnswer> DecideAck(
+    const DatalogProgram& program, const UnionQuery& ucq,
+    AckEngineStats* stats, const AckEngineLimits& limits,
+    Result<std::vector<AckDisjunct>>* forests, int level) {
+  QCONT_RETURN_IF_ERROR(program.Validate());
+  QCONT_RETURN_IF_ERROR(ucq.Validate());
+  QCONT_RETURN_IF_ERROR(
+      analysis::FirstError(analysis::CheckContainmentPair(program, ucq)));
   ObsSpan run_span(limits.obs, "ack/run", "core");
-  std::vector<AckDisjunct> disjuncts;
-  for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
-    QCONT_ASSIGN_OR_RETURN(AckDisjunct d, PrepareDisjunct(cq, level));
-    disjuncts.push_back(std::move(d));
+  Result<std::vector<AckDisjunct>> disjuncts =
+      forests != nullptr ? std::move(*forests) : PrepareForests(ucq, &level);
+  internal::FixpointRun run;
+  Result<ContainmentAnswer> result = disjuncts.status();
+  if (disjuncts.ok()) {
+    std::shared_ptr<const ProgramArtifact> artifact =
+        GetOrBuildArtifact(program, limits.artifact_cache, limits.obs);
+    AckGame game(std::move(disjuncts).value());
+    game.BindPredicates(ucq, *artifact);
+    result = SummaryFixpoint(*artifact, game, AckConfig(limits), &run).Decide();
   }
-  std::shared_ptr<const ProgramArtifact> artifact =
-      GetOrBuildArtifact(program, limits.artifact_cache, limits.obs);
-  AckGame game(std::move(disjuncts));
-  game.BindPredicates(ucq, *artifact);
-  SummaryFixpoint fixpoint(*artifact, game, AckConfig(limits), run);
-  return fixpoint.Decide();
+  internal::FlushFixpointRun(AckConfig(limits), run, stats);
+  ObsGauge(limits.obs, "ack.level", static_cast<std::uint64_t>(level));
+  if (stats != nullptr) stats->ack_level = std::max(stats->ack_level, level);
+  return result;
 }
 
 }  // namespace
@@ -290,20 +308,18 @@ Result<ContainmentAnswer> RunAck(const DatalogProgram& program,
 Result<ContainmentAnswer> DatalogContainedInAcyclicUcq(
     const DatalogProgram& program, const UnionQuery& ucq,
     AckEngineStats* stats, const AckEngineLimits& limits) {
-  QCONT_RETURN_IF_ERROR(program.Validate());
-  QCONT_RETURN_IF_ERROR(ucq.Validate());
-  QCONT_RETURN_IF_ERROR(
-      analysis::FirstError(analysis::CheckContainmentPair(program, ucq)));
-  // The run accumulates locally and is published once, on every exit path:
-  // the per-event counters and the level unconditionally, the post-fixpoint
-  // snapshot only when the fixpoint completed (see AckEngineStats).
-  internal::FixpointRun run;
+  return DecideAck(program, ucq, stats, limits, nullptr, 0);
+}
+
+std::optional<Result<ContainmentAnswer>> DatalogContainedInUcqIfAcyclic(
+    const DatalogProgram& program, const UnionQuery& ucq,
+    AckEngineStats* stats, const AckEngineLimits& limits) {
   int level = 0;
-  Result<ContainmentAnswer> result = RunAck(program, ucq, limits, &run, &level);
-  internal::FlushFixpointRun(AckConfig(limits), run, stats);
-  ObsGauge(limits.obs, "ack.level", static_cast<std::uint64_t>(level));
-  if (stats != nullptr) stats->ack_level = std::max(stats->ack_level, level);
-  return result;
+  Result<std::vector<AckDisjunct>> forests = PrepareForests(ucq, &level);
+  if (forests.status().code() == StatusCode::kFailedPrecondition) {
+    return std::nullopt;
+  }
+  return DecideAck(program, ucq, stats, limits, &forests, level);
 }
 
 }  // namespace qcont

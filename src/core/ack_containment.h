@@ -2,6 +2,7 @@
 #define QCONT_CORE_ACK_CONTAINMENT_H_
 
 #include <cstdint>
+#include <optional>
 
 #include "base/status.h"
 #include "core/datalog_ucq.h"
@@ -76,6 +77,16 @@ struct AckEngineLimits {
 /// over an arity-c schema that is acyclic lies in ACc; a TW(1) UCQ lies in
 /// AC2 — both are handled by this engine.
 Result<ContainmentAnswer> DatalogContainedInAcyclicUcq(
+    const DatalogProgram& program, const UnionQuery& ucq,
+    AckEngineStats* stats = nullptr,
+    const AckEngineLimits& limits = AckEngineLimits());
+
+/// Corollary 1's routing step on the engine's own GYO pass: when every
+/// disjunct of Θ has a join tree, decides Π ⊆ Θ exactly as
+/// DatalogContainedInAcyclicUcq does, on those join forests; when some
+/// disjunct is cyclic, returns std::nullopt having decided (and published)
+/// nothing, so the caller falls back to DatalogContainedInUcq.
+std::optional<Result<ContainmentAnswer>> DatalogContainedInUcqIfAcyclic(
     const DatalogProgram& program, const UnionQuery& ucq,
     AckEngineStats* stats = nullptr,
     const AckEngineLimits& limits = AckEngineLimits());

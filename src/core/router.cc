@@ -1,5 +1,6 @@
 #include "core/router.h"
 
+#include <optional>
 #include <string>
 
 #include "analysis/report.h"
@@ -20,48 +21,41 @@ Result<RoutedAnswer> DecideContainment(const DatalogProgram& program,
                                        const UnionQuery& ucq,
                                        const RouterOptions& options) {
   ObsSpan decide_span(options.obs, "router/decide", "core");
-  // The default path goes through the verified analysis report: acyclicity,
-  // width bounds, and the engine choice come from one cached static pass.
-  ContainmentRoute route;
-  int report_ack_level = 0;
-  if (options.force == ForcedRoute::kAckEngine) {
-    route = ContainmentRoute::kAckEngine;
-  } else if (options.force == ForcedRoute::kGeneralEngine) {
-    route = ContainmentRoute::kGeneralEngine;
-  } else {
-    analysis::RoutingOptions routing;
-    routing.obs = options.obs;
-    routing.use_cache = options.use_analysis_cache;
-    // A caller-held report is read in place; only a fresh one is stored.
-    analysis::AnalysisReport fresh;
-    if (options.report == nullptr) {
-      fresh = analysis::AnalyzeForRouting(program, ucq, routing);
-    }
-    const analysis::AnalysisReport& report =
-        options.report != nullptr ? *options.report : fresh;
-    const analysis::EngineKind engine =
-        analysis::ChooseEngine(report, analysis::RoutingGoal::kContainment);
-    route = engine == analysis::EngineKind::kAckEngine
-                ? ContainmentRoute::kAckEngine
-                : ContainmentRoute::kGeneralEngine;
-    report_ack_level = report.ack_level;
+  AckEngineLimits limits = options.ack;
+  if (limits.obs == nullptr) limits.obs = options.obs;
+  if (limits.artifact_cache == nullptr) {
+    limits.artifact_cache = options.artifact_cache;
+  }
+  AckEngineStats stats;
+  // Corollary 1 routes on acyclicity alone. A caller-held report decides it;
+  // otherwise the ACk engine's own GYO pass does, and its join forests are
+  // the ones the engine runs on. `ack` stays empty on the general route.
+  const analysis::AnalysisReport* report = options.report;
+  std::optional<Result<ContainmentAnswer>> ack;
+  if (options.force == ForcedRoute::kAckEngine ||
+      (options.force == ForcedRoute::kAuto && report != nullptr &&
+       analysis::ChooseEngine(*report, analysis::RoutingGoal::kContainment) ==
+           analysis::EngineKind::kAckEngine)) {
+    ack = DatalogContainedInAcyclicUcq(program, ucq, &stats, limits);
+  } else if (options.force == ForcedRoute::kAuto && report == nullptr) {
+    ack = DatalogContainedInUcqIfAcyclic(program, ucq, &stats, limits);
+  }
+  if (options.force == ForcedRoute::kAuto) {
     ObsCount(options.obs,
-             std::string("analysis.route.") + analysis::EngineKindName(engine),
+             std::string("analysis.route.") +
+                 analysis::EngineKindName(
+                     ack.has_value() ? analysis::EngineKind::kAckEngine
+                                     : analysis::EngineKind::kTypeEngine),
              1);
   }
 
   RoutedAnswer out;
-  if (route == ContainmentRoute::kAckEngine) {
-    AckEngineLimits limits = options.ack;
-    if (limits.obs == nullptr) limits.obs = options.obs;
-    if (limits.artifact_cache == nullptr) {
-      limits.artifact_cache = options.artifact_cache;
-    }
-    AckEngineStats stats;
-    QCONT_ASSIGN_OR_RETURN(
-        out.answer, DatalogContainedInAcyclicUcq(program, ucq, &stats, limits));
+  if (ack.has_value()) {
+    QCONT_ASSIGN_OR_RETURN(out.answer, std::move(*ack));
     out.route = ContainmentRoute::kAckEngine;
-    out.ack_level = stats.ack_level > 0 ? stats.ack_level : report_ack_level;
+    // AC1 is the lowest level by convention.
+    const int fallback = report != nullptr ? report->ack_level : 1;
+    out.ack_level = stats.ack_level > 0 ? stats.ack_level : fallback;
   } else {
     TypeEngineOptions general = options.general;
     if (general.obs == nullptr) general.obs = options.obs;

@@ -26,9 +26,10 @@ struct RoutedAnswer {
 
 const char* RouteName(ContainmentRoute route);
 
-/// Route override for DecideContainment; kAuto defers to the analysis
-/// layer's ChooseEngine over the cached AnalysisReport. Forcing the ACk
-/// engine on a cyclic UCQ surfaces that engine's kFailedPrecondition.
+/// Route override for DecideContainment; kAuto routes on whether every
+/// disjunct of Θ is acyclic (the ACk engine's GYO pass, or a caller-held
+/// AnalysisReport). Forcing the ACk engine on a cyclic UCQ surfaces that
+/// engine's kFailedPrecondition.
 enum class ForcedRoute {
   kAuto,
   kAckEngine,
@@ -48,13 +49,13 @@ struct RouterOptions {
   AckEngineLimits ack;
   /// Engine override (differential tests, debugging).
   ForcedRoute force = ForcedRoute::kAuto;
-  /// Consult/populate the global analysis report cache.
+  /// Not read: routing builds no AnalysisReport, so it never touches the
+  /// global analysis cache. Kept for source compatibility.
   bool use_analysis_cache = true;
   /// Request-scoped routing: a report for this exact (program, ucq) pair
-  /// that the caller already holds (e.g. fetched from the server's plan
-  /// cache). When set, the router routes from it directly and never
-  /// consults or populates the global analysis cache. Borrowed; must
-  /// outlive the call.
+  /// that the caller already holds. When set, kAuto routes on its
+  /// `acyclic` bit instead of running the GYO pass. Borrowed; must outlive
+  /// the call.
   const analysis::AnalysisReport* report = nullptr;
   /// Program-keyed kind-space memoization (optional, borrowed;
   /// program_artifact_cache.h). Copied into `general.artifact_cache` and
@@ -67,7 +68,9 @@ struct RouterOptions {
 /// (Corollary 1): if Θ is acyclic — which covers every acyclic UCQ over an
 /// arity-c schema (then Θ ∈ ACc) and every TW(1) UCQ (then Θ ∈ AC2) — use
 /// the single-exponential ACk engine; otherwise fall back to the general
-/// doubly-exponential engine.
+/// doubly-exponential engine. Acyclicity is decided by the ACk engine's own
+/// GYO pass per disjunct, and on the ACk route those join forests are the
+/// ones the engine runs on; no AnalysisReport is built.
 Result<RoutedAnswer> DecideContainment(const DatalogProgram& program,
                                        const UnionQuery& ucq,
                                        const RouterOptions& options);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <unordered_map>
 
@@ -124,6 +125,7 @@ void BlockJoinPlan::Execute(const Database& all,
   std::vector<ValueId> next;
   std::vector<ValueId> keys;
   std::vector<std::span<const std::uint32_t>> hits;
+  std::vector<std::uint32_t> all_rows;
 
   for (std::size_t base = 0; base < dn; base += block_rows) {
     const std::size_t bn = std::min(block_rows, dn - base);
@@ -151,24 +153,34 @@ void BlockJoinPlan::Execute(const Database& all,
     for (const AtomStep& step : steps_) {
       const std::size_t fcount = frontier.size() / nv;
       if (fcount == 0) break;
-      const std::size_t w = step.key_slots.size();
-      keys.resize(fcount * w);
-      for (std::size_t i = 0; i < fcount; ++i) {
-        const ValueId* binding = frontier.data() + i * nv;
-        for (std::size_t k = 0; k < w; ++k) {
-          keys[i * w + k] = binding[step.key_slots[k]];
+      if (step.mask != 0) {
+        const std::size_t w = step.key_slots.size();
+        keys.resize(fcount * w);
+        for (std::size_t i = 0; i < fcount; ++i) {
+          const ValueId* binding = frontier.data() + i * nv;
+          for (std::size_t k = 0; k < w; ++k) {
+            keys[i * w + k] = binding[step.key_slots[k]];
+          }
         }
+        hits.assign(fcount, {});
+        all.ProbeMany(step.rel, step.mask, keys,
+                      std::span<std::span<const std::uint32_t>>(hits));
+        stats->index_probes += fcount;
+      } else {
+        // Every row matches a step with no bound position: scan the
+        // relation rather than build a mask-0 index holding all of it.
+        all_rows.resize(all.NumRows(step.rel));
+        std::iota(all_rows.begin(), all_rows.end(), 0u);
+        hits.assign(fcount, std::span<const std::uint32_t>(all_rows));
       }
-      hits.assign(fcount, {});
-      all.ProbeMany(step.rel, step.mask, keys,
-                    std::span<std::span<const std::uint32_t>>(hits));
-      stats->index_probes += fcount;
+      std::uint64_t& candidates =
+          step.mask != 0 ? stats->index_candidates : stats->scan_candidates;
       const Database::RowView rows_view = all.Rows(step.rel);
       next.clear();
       for (std::size_t i = 0; i < fcount; ++i) {
         const ValueId* binding = frontier.data() + i * nv;
         for (const std::uint32_t row_idx : hits[i]) {
-          ++stats->index_candidates;
+          ++candidates;
           ++stats->atom_attempts;
           const ValueId* row = rows_view[row_idx];
           const std::size_t at = next.size();

@@ -73,7 +73,8 @@ struct PlanCacheConfig {
 /// query/program hit.
 ///
 ///  - **verdict**: containment verdicts with witnesses (CachedVerdict),
-///  - **analysis**: AnalysisReports (the routed entry points' input),
+///  - **analysis**: AnalysisReports, the product of `analyze` requests
+///    (containment routes without one),
 ///  - **core**: minimized (subsumption-pruned, per-disjunct-cored) UCQs,
 ///    stored structurally (the CQ text form is display-only, not
 ///    re-parseable),
@@ -85,8 +86,8 @@ struct PlanCacheConfig {
 /// start and derives its "hit"/"miss" response markers from a lookup's
 /// `stable` out-param, not from mere presence, which keeps the response
 /// stream identical across thread counts even when concurrent work items
-/// share a cache key (e.g. a containment and an analyze over the same Π/Θ,
-/// or two containments whose queries minimize to the same core).
+/// share a cache key (e.g. two containments whose queries minimize to the
+/// same core).
 class PlanCache {
  public:
   explicit PlanCache(PlanCacheConfig config = {});

@@ -327,10 +327,10 @@ Outcome RunContainment(const ServerOptions& options, PlanCache& cache,
   }
 
   // The response marker reports "hit" only for entries that predate the
-  // batch: an entry inserted by a concurrently running work item (a
-  // same-batch analyze over the same Π/Θ, or another containment whose
-  // query minimized to the same core) is still reused, but marked "miss"
-  // so the marker never depends on how the batch was scheduled.
+  // batch: an entry inserted by a concurrently running work item (another
+  // containment whose query minimized to the same core) is still reused,
+  // but marked "miss" so the marker never depends on how the batch was
+  // scheduled.
   const PlanKey verdict_key{p.key1, query_hash};
   bool stable = false;
   std::optional<CachedVerdict> verdict =
@@ -339,22 +339,11 @@ Outcome RunContainment(const ServerOptions& options, PlanCache& cache,
   if (!verdict.has_value()) {
     if (p.Expired()) return Outcome::Deadline();
 
-    analysis::AnalysisReport report;
-    if (auto hit = cache.LookupAnalysis(verdict_key)) {
-      report = std::move(*hit);
-    } else {
-      analysis::RoutingOptions routing;
-      routing.use_cache = false;  // the plan cache replaces the global one
-      routing.obs = options.obs;
-      report = analysis::AnalyzeForRouting(program, *theta, routing);
-      cache.InsertAnalysis(verdict_key, report);
-    }
-
+    // The router decides the route by the ACk engine's GYO pass; no
+    // AnalysisReport is built on this path.
     ObsSpan span(options.obs, "server/engine", "server");
     RouterOptions router;
     router.obs = options.obs;
-    router.use_analysis_cache = false;
-    router.report = &report;
     // A verdict miss on a repeated Π still reuses the frozen kind-space
     // artifact: the general engine skips straight to the Θ-dependent
     // fixpoint over the memoized expansion.
@@ -431,10 +420,9 @@ Outcome RunEval(const ServerOptions& options, PlanCache& cache,
 /// verdicts, rendered as its schema-v1 JSON.
 Outcome RunAnalyze(const ServerOptions& options, PlanCache& cache,
                    Prepared& p) {
-  // The analysis shard is shared with RunContainment (which reads and
-  // fills it under the same key), so hit/miss must use the epoch-stable
-  // flag: a report inserted by a same-batch containment is reused but
-  // reported "miss", keeping the marker schedule-independent.
+  // Only analyze requests fill the analysis shard. Hit/miss uses the
+  // epoch-stable flag like every other shard, so the marker never depends
+  // on how a batch was scheduled.
   const PlanKey key{p.key1, p.key2};
   bool stable = false;
   std::optional<analysis::AnalysisReport> report =

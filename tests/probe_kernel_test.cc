@@ -399,6 +399,31 @@ TEST(BlockJoinTest, WideAndPropositionalShapesMatchReferences) {
   }
 }
 
+// Once the delta atom f() fires, the plan step for e(x,y) has no bound
+// position. It scans e instead of building a mask-0 index holding every
+// row, so the working database ends with no index at all.
+TEST(BlockJoinTest, UnboundStepScansWithoutBuildingAnIndex) {
+  auto program = ParseProgram("f() :- s(x). q(x) :- f(), e(x,y). goal q.");
+  auto edb = ParseDatabase("e(a,b). e(b,c). s(c).");
+  ASSERT_TRUE(program.ok() && edb.ok());
+  EvalOptions naive;
+  naive.strategy = EvalStrategy::kNaive;
+  auto want = EvaluateGoal(*program, *edb, naive);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(*want, (std::vector<Tuple>{{"a"}, {"b"}}));
+  for (const int shards : {1, 3}) {
+    EvalOptions options;
+    options.shards = shards;
+    DatalogEvalStats stats;
+    auto goal = EvaluateGoal(*program, *edb, options);
+    auto all = EvaluateProgram(*program, *edb, options, &stats);
+    ASSERT_TRUE(goal.ok() && all.ok()) << "shards " << shards;
+    EXPECT_EQ(*goal, *want) << "shards " << shards;
+    EXPECT_EQ(all->index_stats().indexes_built, 0u) << "shards " << shards;
+    EXPECT_EQ(stats.hom.index_probes, 0u) << "shards " << shards;
+  }
+}
+
 TEST(FlatSetTest, MatchesUnorderedSetOnRandomWorkload) {
   std::mt19937 rng(5150);
   for (int trial = 0; trial < 20; ++trial) {

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "server/json.h"
 #include "server/plan_cache.h"
 #include "server/server.h"
@@ -236,17 +238,15 @@ TEST(ServerTest, EvalResponsesAreByteIdenticalOnMissAndHit) {
 }
 
 // Work items of one batch can share a cache key without sharing a
-// coalescing key: a containment and an analyze over the same Π/Θ both use
-// the analysis shard, and two containments whose queries minimize to the
-// same core share a verdict key. Whether the second item finds the
-// first's insert depends on the schedule, so the "hit"/"miss" marker must
-// be decided against the cache state at batch start: all of these report
-// "miss" in their first batch, at every thread count, and "hit" on a
-// replay.
+// coalescing key: two containments whose queries minimize to the same core
+// share a verdict key. Whether the second item finds the first's insert
+// depends on the schedule, so the "hit"/"miss" marker must be decided
+// against the cache state at batch start: all of these report "miss" in
+// their first batch, at every thread count, and "hit" on a replay.
 TEST(ServerTest, CacheMarkersIgnoreSameBatchInsertsAcrossWorkItems) {
   const std::vector<std::string> requests = {
       // ids 1/2: same program and query, different ops => distinct
-      // coalescing keys, same analysis-shard key.
+      // coalescing keys; only the analyze uses the analysis shard.
       R"({"id":1,"op":"containment","program":"g(x,y) :- e(x,y). g(x,y) :- e(x,z), g(z,y). goal g.","query":"Q(x,y) :- e(x,y). Q(x,y) :- e(x,z), e(z,y)."})",
       R"({"id":2,"op":"analyze","program":"g(x,y) :- e(x,y). g(x,y) :- e(x,z), g(z,y). goal g.","query":"Q(x,y) :- e(x,y). Q(x,y) :- e(x,z), e(z,y)."})",
       // ids 3/4: id 4's redundant second disjunct minimizes away, leaving
@@ -269,6 +269,57 @@ TEST(ServerTest, CacheMarkersIgnoreSameBatchInsertsAcrossWorkItems) {
       EXPECT_NE(r.find("\"cache\":\"hit\""), std::string::npos)
           << "threads=" << threads << ": " << r;
     }
+  }
+}
+
+// Containment routes without an AnalysisReport: a containment miss, on
+// either route, puts nothing in the analysis shard, and a later analyze
+// over the same Π/Θ answers byte for byte as it does on a fresh server.
+TEST(ServerTest, ContainmentLeavesTheAnalysisShardEmpty) {
+  const std::string head =
+      R"("program":"g(x,y) :- e(x,y). g(x,y) :- e(x,z), g(z,y). goal g.",)";
+  for (const char* query :
+       {"Q(x,y) :- e(x,y). Q(x,y) :- e(x,z), e(z,y).",
+        "Q(x,y) :- e(x,y), e(y,z), e(z,x)."}) {
+    std::string containment = R"({"id":1,"op":"containment",)";
+    containment += head;
+    containment += R"("query":")";
+    containment += query;
+    containment += R"("})";
+    std::string analyze = R"({"id":2,"op":"analyze",)";
+    analyze += head;
+    analyze += R"("query":")";
+    analyze += query;
+    analyze += R"("})";
+
+    MetricRegistry metrics;
+    ObsContext obs;
+    obs.metrics = &metrics;
+    ServerOptions options;
+    options.obs = &obs;
+    Server server(options);
+    const std::vector<std::string> contained = server.HandleBatch({containment});
+    ASSERT_EQ(contained.size(), 1u);
+    EXPECT_NE(contained[0].find("\"status\":\"ok\""), std::string::npos)
+        << contained[0];
+    const PlanCacheStats after = server.cache().stats();
+#ifndef QCONT_OBS_NOOP
+    EXPECT_EQ(metrics.Value("server.cache.analysis.insertions"), 0u) << query;
+    EXPECT_EQ(metrics.Value("server.cache.analysis.misses"), 0u) << query;
+#endif  // QCONT_OBS_NOOP
+
+    const std::vector<std::string> analyzed = server.HandleBatch({analyze});
+    Server fresh{ServerOptions()};
+    const std::vector<std::string> reference = fresh.HandleBatch({analyze});
+    ASSERT_EQ(analyzed.size(), 1u);
+    ASSERT_EQ(reference.size(), 1u);
+    EXPECT_EQ(StripElapsed(analyzed[0]), StripElapsed(reference[0])) << query;
+    // The analyze is the shard's first and only insert.
+    EXPECT_EQ(server.cache().stats().insertions, after.insertions + 1)
+        << query;
+#ifndef QCONT_OBS_NOOP
+    EXPECT_EQ(metrics.Value("server.cache.analysis.insertions"), 1u) << query;
+#endif  // QCONT_OBS_NOOP
   }
 }
 
