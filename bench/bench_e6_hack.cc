@@ -5,6 +5,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "bench/workloads.h"
 #include "core/hack.h"
 #include "cq/core.h"
@@ -92,6 +98,60 @@ void BM_UnionMinimization(benchmark::State& state) {
   state.counters["kept_disjuncts"] = static_cast<double>(kept);
 }
 BENCHMARK(BM_UnionMinimization)->DenseRange(2, 8, 2);
+
+// The server's minimization pre-pass over Θs shaped like the serverbench
+// contain_cold corpus: 1–3 disjuncts of 1–4 binary atoms over six
+// relations, a unary head. Seeded; most are already minimal, some fold or
+// lose a subsumed disjunct. One iteration minimizes the whole set.
+std::vector<UnionQuery> ContainColdShapedQueries() {
+  std::mt19937 rng(6);
+  std::vector<UnionQuery> out;
+  for (int q = 0; q < 64; ++q) {
+    std::vector<ConjunctiveQuery> disjuncts;
+    const int n = 1 + static_cast<int>(rng() % 3);
+    for (int d = 0; d < n; ++d) {
+      const int atoms = 1 + static_cast<int>(rng() % 4);
+      std::vector<Atom> body;
+      for (int a = 0; a < atoms; ++a) {
+        // Chains off earlier variables, so every atom stays connected.
+        const int from = static_cast<int>(rng() % (a + 1));
+        const int to = static_cast<int>(rng() % (a + 2));
+        body.emplace_back(bench::Numbered("r", rng() % 6),
+                          std::vector<Term>{
+                              Term::Variable(bench::Numbered("v", from)),
+                              Term::Variable(bench::Numbered("v", to))});
+      }
+      disjuncts.emplace_back(std::vector<Term>{Term::Variable("v0")},
+                             std::move(body));
+    }
+    out.emplace_back(std::move(disjuncts));
+  }
+  return out;
+}
+
+std::size_t AtomCount(const UnionQuery& ucq) {
+  std::size_t atoms = 0;
+  for (const ConjunctiveQuery& cq : ucq.disjuncts()) atoms += cq.atoms().size();
+  return atoms;
+}
+
+void BM_MinimizeUcq(benchmark::State& state) {
+  const std::vector<UnionQuery> queries = ContainColdShapedQueries();
+  std::size_t original_atoms = 0, core_atoms = 0;
+  for (auto _ : state) {
+    original_atoms = core_atoms = 0;
+    for (const UnionQuery& ucq : queries) {
+      auto minimized = MinimizeUnionQuery(ucq);
+      original_atoms += AtomCount(ucq);
+      core_atoms += minimized->has_value() ? AtomCount(**minimized)
+                                           : AtomCount(ucq);
+    }
+    benchmark::DoNotOptimize(core_atoms);
+  }
+  state.counters["original_atoms"] = static_cast<double>(original_atoms);
+  state.counters["core_atoms"] = static_cast<double>(core_atoms);
+}
+BENCHMARK(BM_MinimizeUcq);
 
 }  // namespace
 }  // namespace qcont

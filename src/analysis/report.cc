@@ -175,8 +175,11 @@ AnalysisReport BuildReport(const DatalogProgram* program,
     DecompositionCertificate tree = DecomposeGraph(gaifman, decompose);
     out.treewidth = std::max(out.treewidth, std::max(0, tree.claimed_width));
     out.treewidth_exact = out.treewidth_exact && tree.exact;
+    // GaifmanGraph and CqHypergraph both number variables in body
+    // first-occurrence order, so the Gaifman graph is the hypergraph's
+    // primal graph and its decomposition is reused, not rebuilt.
     DecompositionCertificate ghd =
-        DecomposeHypergraph(CqHypergraph(cq), decompose);
+        DecomposeHypergraph(CqHypergraph(cq), std::move(tree), decompose);
     out.ghw = std::max(out.ghw, ghd.claimed_width);
   }
   if (out.acyclic) {

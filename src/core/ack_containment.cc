@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/analyzer.h"
@@ -41,8 +42,11 @@ struct AckDisjunct {
 // decides acyclicity and yields the join forest), and the certificate check
 // of that forest. `level` is max-assigned the query's shared-variable width.
 // Constants are not checked here: CheckContainmentPair rejects them (QC003)
-// before a join forest is used.
-Result<AckDisjunct> PrepareDisjunct(const ConjunctiveQuery& cq, int* level) {
+// before a join forest is used. A cyclic disjunct is kFailedPrecondition,
+// with the disjunct rendered into the message only if `describe_cyclic`
+// (the routing probe discards the message).
+Result<AckDisjunct> PrepareDisjunct(const ConjunctiveQuery& cq, int* level,
+                                    bool describe_cyclic) {
   AckDisjunct d;
   std::vector<const std::string*> names;  // variable id -> name
   auto var_id = [&](const std::string& name) {
@@ -67,9 +71,9 @@ Result<AckDisjunct> PrepareDisjunct(const ConjunctiveQuery& cq, int* level) {
   h.num_vertices = d.num_vars;
   Result<JoinTree> jt = BuildJoinTree(h.edges, h.num_vertices);
   if (!jt.ok()) {
-    return FailedPreconditionError(
-        "the ACk engine requires an acyclic UCQ; disjunct is cyclic: " +
-        cq.ToString());
+    std::string message = "the ACk engine requires an acyclic UCQ";
+    if (describe_cyclic) message += "; disjunct is cyclic: " + cq.ToString();
+    return FailedPreconditionError(std::move(message));
   }
   // Certify the join tree (width-1 GHW certificate) before trusting it.
   QCONT_RETURN_IF_ERROR(CertificateFromJoinTree(h, *jt).status());
@@ -99,10 +103,12 @@ Result<AckDisjunct> PrepareDisjunct(const ConjunctiveQuery& cq, int* level) {
 // Θ's join forests, one per disjunct in order; kFailedPrecondition at the
 // first cyclic disjunct. `level` is max-assigned per disjunct prepared.
 Result<std::vector<AckDisjunct>> PrepareForests(const UnionQuery& ucq,
-                                                int* level) {
+                                                int* level,
+                                                bool describe_cyclic) {
   std::vector<AckDisjunct> disjuncts;
   for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
-    QCONT_ASSIGN_OR_RETURN(AckDisjunct d, PrepareDisjunct(cq, level));
+    QCONT_ASSIGN_OR_RETURN(AckDisjunct d,
+                           PrepareDisjunct(cq, level, describe_cyclic));
     disjuncts.push_back(std::move(d));
   }
   return disjuncts;
@@ -287,7 +293,8 @@ Result<ContainmentAnswer> DecideAck(
       analysis::FirstError(analysis::CheckContainmentPair(program, ucq)));
   ObsSpan run_span(limits.obs, "ack/run", "core");
   Result<std::vector<AckDisjunct>> disjuncts =
-      forests != nullptr ? std::move(*forests) : PrepareForests(ucq, &level);
+      forests != nullptr ? std::move(*forests)
+                         : PrepareForests(ucq, &level, /*describe_cyclic=*/true);
   internal::FixpointRun run;
   Result<ContainmentAnswer> result = disjuncts.status();
   if (disjuncts.ok()) {
@@ -315,7 +322,8 @@ std::optional<Result<ContainmentAnswer>> DatalogContainedInUcqIfAcyclic(
     const DatalogProgram& program, const UnionQuery& ucq,
     AckEngineStats* stats, const AckEngineLimits& limits) {
   int level = 0;
-  Result<std::vector<AckDisjunct>> forests = PrepareForests(ucq, &level);
+  Result<std::vector<AckDisjunct>> forests =
+      PrepareForests(ucq, &level, /*describe_cyclic=*/false);
   if (forests.status().code() == StatusCode::kFailedPrecondition) {
     return std::nullopt;
   }

@@ -1,9 +1,8 @@
 #include "core/hack.h"
 
-#include <vector>
+#include <optional>
 
 #include "core/ack_containment.h"
-#include "cq/containment.h"
 #include "cq/core.h"
 #include "structure/classify.h"
 
@@ -11,40 +10,16 @@ namespace qcont {
 
 Result<HAckNormalization> NormalizeIntoAck(const UnionQuery& ucq) {
   QCONT_RETURN_IF_ERROR(ucq.Validate());
-  // Θ_min: drop disjuncts contained in another kept disjunct.
-  std::vector<ConjunctiveQuery> kept;
-  std::vector<bool> dropped(ucq.disjuncts().size(), false);
-  for (std::size_t i = 0; i < ucq.disjuncts().size(); ++i) {
-    bool subsumed = false;
-    for (std::size_t j = 0; j < ucq.disjuncts().size() && !subsumed; ++j) {
-      if (i == j || dropped[j]) continue;
-      QCONT_ASSIGN_OR_RETURN(
-          bool contained,
-          CqContained(ucq.disjuncts()[i], ucq.disjuncts()[j]));
-      if (contained) {
-        // Break mutual-containment ties by keeping the earlier disjunct.
-        QCONT_ASSIGN_OR_RETURN(
-            bool back, CqContained(ucq.disjuncts()[j], ucq.disjuncts()[i]));
-        if (!back || j < i) subsumed = true;
-      }
-    }
-    dropped[i] = subsumed;
-    if (!subsumed) kept.push_back(ucq.disjuncts()[i]);
-  }
-  // Replace every kept disjunct by its core.
-  std::vector<ConjunctiveQuery> cores;
-  cores.reserve(kept.size());
-  for (const ConjunctiveQuery& cq : kept) {
-    QCONT_ASSIGN_OR_RETURN(ConjunctiveQuery core, CoreOf(cq));
-    cores.push_back(std::move(core));
-  }
-  UnionQuery normalized(std::move(cores));
+  // Θ_min: every disjunct replaced by its core, subsumed disjuncts dropped.
+  QCONT_ASSIGN_OR_RETURN(std::optional<UnionQuery> minimized,
+                         MinimizeUnionQuery(ucq));
+  const UnionQuery& normalized = minimized.has_value() ? *minimized : ucq;
   HAckNormalization out;
   Result<int> level = AckLevel(normalized);
   if (level.ok()) {
     out.in_hack = true;
     out.level = *level;
-    out.normalized = std::move(normalized);
+    out.normalized = normalized;
   } else if (level.status().code() != StatusCode::kFailedPrecondition) {
     return level.status();
   }

@@ -19,8 +19,9 @@ struct HAckNormalization {
 };
 
 /// Tests membership of Θ in H(ACk) — the UCQs equivalent to one in ACk —
-/// and produces the equivalent ACk query: drop disjuncts subsumed by
-/// others, then replace every disjunct by its core. By the paper's
+/// and produces the equivalent ACk query: replace every disjunct by its
+/// core, then drop disjuncts subsumed by others (MinimizeUnionQuery,
+/// cq/core.h). By the paper's
 /// Proposition 3, Θ ∈ H(ACk) iff the resulting UCQ is in ACk (cores of
 /// ACk queries are strong induced subqueries, and ACk is closed under
 /// them). NP-hard (Proposition 4); exponential worst case here.

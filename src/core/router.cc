@@ -41,12 +41,13 @@ Result<RoutedAnswer> DecideContainment(const DatalogProgram& program,
     ack = DatalogContainedInUcqIfAcyclic(program, ucq, &stats, limits);
   }
   if (options.force == ForcedRoute::kAuto) {
-    ObsCount(options.obs,
-             std::string("analysis.route.") +
-                 analysis::EngineKindName(
-                     ack.has_value() ? analysis::EngineKind::kAckEngine
-                                     : analysis::EngineKind::kTypeEngine),
-             1);
+    if (MetricRegistry* metrics = ObsMetrics(options.obs)) {
+      metrics->Add(std::string("analysis.route.") +
+                       analysis::EngineKindName(
+                           ack.has_value() ? analysis::EngineKind::kAckEngine
+                                           : analysis::EngineKind::kTypeEngine),
+                   1);
+    }
   }
 
   RoutedAnswer out;

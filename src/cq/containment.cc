@@ -2,6 +2,10 @@
 
 #include <atomic>
 #include <cstddef>
+#include <optional>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "base/check.h"
@@ -12,6 +16,73 @@
 namespace qcont {
 
 namespace {
+
+void CollectConstants(const ConjunctiveQuery& cq,
+                      std::vector<const std::string*>* out) {
+  for (const Atom& a : cq.atoms()) {
+    for (const Term& t : a.terms()) {
+      if (t.is_constant()) out->push_back(&t.name());
+    }
+  }
+}
+
+std::vector<const std::string*> ConstantsOf(const UnionQuery& ucq) {
+  std::vector<const std::string*> out;
+  for (const ConjunctiveQuery& cq : ucq.disjuncts()) CollectConstants(cq, &out);
+  return out;
+}
+
+// The left-hand query as it may be frozen. CanonicalDatabase freezes
+// variables and constants alike by their bare name, so a variable named
+// like a constant of either side would turn into that constant. Such
+// variables are renamed apart into `*storage`; otherwise (always, on
+// constant-free queries) `left` itself is returned and nothing is copied.
+const ConjunctiveQuery& RenamedApart(
+    const ConjunctiveQuery& left,
+    const std::vector<const std::string*>& right_constants,
+    std::optional<ConjunctiveQuery>* storage) {
+  std::vector<const std::string*> constants = right_constants;
+  CollectConstants(left, &constants);
+  if (constants.empty()) return left;
+  auto is_constant = [&](const std::string& name) {
+    for (const std::string* c : constants) {
+      if (*c == name) return true;
+    }
+    return false;
+  };
+  bool collides = false;
+  for (const Atom& a : left.atoms()) {
+    for (const Term& t : a.terms()) {
+      collides = collides || (t.is_variable() && is_constant(t.name()));
+    }
+  }
+  if (!collides) return left;
+  std::unordered_set<std::string> taken;
+  for (const Atom& a : left.atoms()) {
+    for (const Term& t : a.terms()) taken.insert(t.name());
+  }
+  for (const std::string* c : constants) taken.insert(*c);
+  std::unordered_map<std::string, std::string> fresh;
+  auto rename = [&](const Term& t) {
+    if (!t.is_variable() || !is_constant(t.name())) return t;
+    auto [it, inserted] = fresh.emplace(t.name(), std::string());
+    for (int i = 1; inserted && it->second.empty(); ++i) {
+      std::string name = t.name() + "~" + std::to_string(i);
+      if (taken.insert(name).second) it->second = std::move(name);
+    }
+    return Term::Variable(it->second);
+  };
+  std::vector<Term> head;
+  for (const Term& t : left.head()) head.push_back(rename(t));
+  std::vector<Atom> atoms;
+  for (const Atom& a : left.atoms()) {
+    std::vector<Term> terms;
+    for (const Term& t : a.terms()) terms.push_back(rename(t));
+    atoms.emplace_back(a.predicate(), std::move(terms));
+  }
+  storage->emplace(std::move(head), std::move(atoms));
+  return **storage;
+}
 
 // Chandra-Merlin check of theta_prime against the prebuilt canonical
 // database / frozen head of theta (all inputs already validated).
@@ -42,8 +113,11 @@ Result<bool> CqInUcqPrevalidated(const ConjunctiveQuery& theta,
                                  const UnionQuery& theta_prime,
                                  HomSearchStats* stats,
                                  const HomSearchOptions& options) {
-  Database canonical = CanonicalDatabase(theta);
-  Tuple frozen_head = CanonicalHead(theta);
+  std::optional<ConjunctiveQuery> renamed;
+  const ConjunctiveQuery& frozen =
+      RenamedApart(theta, ConstantsOf(theta_prime), &renamed);
+  Database canonical = CanonicalDatabase(frozen);
+  Tuple frozen_head = CanonicalHead(frozen);
   for (const ConjunctiveQuery& disjunct : theta_prime.disjuncts()) {
     if (theta.arity() != disjunct.arity()) {
       return InvalidArgumentError("containment between queries of arities " +
@@ -105,9 +179,14 @@ Result<bool> GridContained(const ConjunctiveQuery* lefts, std::size_t nl,
   std::vector<Tuple> heads;
   canonical.reserve(nl);
   heads.reserve(nl);
+  const std::vector<const std::string*> right_constants =
+      ConstantsOf(theta_prime);
   for (std::size_t i = 0; i < nl; ++i) {
-    canonical.push_back(CanonicalDatabase(lefts[i]));
-    heads.push_back(CanonicalHead(lefts[i]));
+    std::optional<ConjunctiveQuery> renamed;
+    const ConjunctiveQuery& frozen =
+        RenamedApart(lefts[i], right_constants, &renamed);
+    canonical.push_back(CanonicalDatabase(frozen));
+    heads.push_back(CanonicalHead(frozen));
   }
 
   std::vector<PairOutcome> grid(nl * nr);
@@ -239,16 +318,21 @@ Result<bool> CqContained(const ConjunctiveQuery& theta,
                                 std::to_string(theta.arity()) + " and " +
                                 std::to_string(theta_prime.arity()));
   }
-  Database canonical = CanonicalDatabase(theta);
+  std::vector<const std::string*> right_constants;
+  CollectConstants(theta_prime, &right_constants);
+  std::optional<ConjunctiveQuery> renamed;
+  const ConjunctiveQuery& frozen =
+      RenamedApart(theta, right_constants, &renamed);
+  Database canonical = CanonicalDatabase(frozen);
   ObsSpan pair_span(options.obs, "ucq/pair");
   MetricRegistry* metrics = ObsMetrics(options.obs);
   if (metrics == nullptr) {
-    return ContainedInDisjunct(theta_prime, canonical, CanonicalHead(theta),
+    return ContainedInDisjunct(theta_prime, canonical, CanonicalHead(frozen),
                                stats, options);
   }
   HomSearchStats run;
   Result<bool> result = ContainedInDisjunct(
-      theta_prime, canonical, CanonicalHead(theta), &run, options);
+      theta_prime, canonical, CanonicalHead(frozen), &run, options);
   run.PublishTo(metrics, "cq.contain.hom");
   if (stats != nullptr) stats->Merge(run);
   return result;

@@ -9,7 +9,10 @@ namespace qcont {
 
 /// Decides theta ⊆ theta' (containment of CQs of the same arity) by the
 /// Chandra-Merlin test: theta ⊆ theta' iff the frozen head of theta is in
-/// theta'(D_theta). NP in general; `stats` reports search effort.
+/// theta'(D_theta). NP in general; `stats` reports search effort. A
+/// variable of theta named like a constant of either query is renamed
+/// apart before freezing, so the two never match each other (the same
+/// holds for the UCQ entry points below).
 Result<bool> CqContained(const ConjunctiveQuery& theta,
                          const ConjunctiveQuery& theta_prime,
                          HomSearchStats* stats = nullptr,

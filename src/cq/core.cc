@@ -1,102 +1,65 @@
 #include "cq/core.h"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
-#include "cq/database.h"
-#include "cq/homomorphism.h"
+#include "cq/small_cq.h"
 
 namespace qcont {
 
-namespace {
-
-// Rebuilds a query from `cq` by applying the value-level homomorphism `h`
-// to every atom. Values are mapped back to terms via `term_of_value`.
-ConjunctiveQuery ApplyRetraction(
-    const ConjunctiveQuery& cq, const Assignment& h,
-    const std::unordered_map<std::string, Term>& term_of_value) {
-  std::vector<Atom> new_atoms;
-  std::unordered_set<std::string> seen;  // printed-atom dedup
-  for (const Atom& a : cq.atoms()) {
-    std::vector<Term> terms;
-    terms.reserve(a.arity());
-    for (const Term& t : a.terms()) {
-      if (t.is_constant()) {
-        terms.push_back(t);
-      } else {
-        terms.push_back(term_of_value.at(h.at(t.name())));
-      }
-    }
-    Atom image(a.predicate(), std::move(terms));
-    if (seen.insert(image.ToString()).second) new_atoms.push_back(image);
-  }
-  return ConjunctiveQuery(cq.head(), std::move(new_atoms));
-}
-
-}  // namespace
-
 Result<ConjunctiveQuery> CoreOf(const ConjunctiveQuery& cq) {
-  QCONT_RETURN_IF_ERROR(cq.Validate());
-  // Duplicate atoms are semantically one; drop them before folding.
-  std::vector<Atom> unique_atoms;
-  std::unordered_set<std::string> atom_keys;
-  for (const Atom& a : cq.atoms()) {
-    if (atom_keys.insert(a.ToString()).second) unique_atoms.push_back(a);
-  }
-  ConjunctiveQuery current(cq.head(), std::move(unique_atoms));
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    Database canonical = CanonicalDatabase(current);
-    // The identity on free variables is forced.
-    Assignment fixed;
-    std::unordered_map<std::string, Term> term_of_value;
-    for (const Term& t : current.head()) fixed.emplace(t.name(), t.name());
-    for (const Atom& a : current.atoms()) {
-      for (const Term& t : a.terms()) term_of_value.insert({t.name(), t});
-    }
-    for (const Term& v : current.ExistentialVariables()) {
-      // A retraction eliminating v maps every atom onto a fact that does not
-      // mention the frozen value of v.
-      Database restricted;
-      bool v_used = false;
-      for (const std::string& rel : canonical.Relations()) {
-        for (const Tuple& fact : canonical.Facts(rel)) {
-          bool mentions_v = false;
-          for (const Value& val : fact) {
-            if (val == v.name()) {
-              mentions_v = true;
-              break;
-            }
-          }
-          if (mentions_v) {
-            v_used = true;
-          } else {
-            restricted.AddFact(rel, fact);
-          }
-        }
-      }
-      if (!v_used) continue;  // dead variable cannot happen for valid CQs
-      std::optional<Assignment> h = FindHomomorphism(current, restricted, fixed);
-      if (h.has_value()) {
-        current = ApplyRetraction(current, *h, term_of_value);
-        changed = true;
-        break;  // recompute the canonical database for the smaller query
-      }
-    }
-  }
-  return current;
+  const ConjunctiveQuery* const one = &cq;
+  SmallUcq small;
+  QCONT_RETURN_IF_ERROR(small.Compile(&one, 1));
+  if (!small.FoldToCore(0) && !small.HadDuplicates(0)) return cq;
+  return small.Build(0);
 }
 
 Result<bool> IsCore(const ConjunctiveQuery& cq) {
-  QCONT_ASSIGN_OR_RETURN(ConjunctiveQuery core, CoreOf(cq));
-  // The core's variable set is a subset of cq's; equality of variable
-  // counts means no fold happened (duplicate atoms are also removed by the
-  // fold-free dedup below).
-  std::unordered_set<std::string> dedup;
-  for (const Atom& a : cq.atoms()) dedup.insert(a.ToString());
-  return core.atoms().size() == dedup.size() &&
-         core.Variables().size() == cq.Variables().size();
+  const ConjunctiveQuery* const one = &cq;
+  SmallUcq small;
+  QCONT_RETURN_IF_ERROR(small.Compile(&one, 1));
+  return !small.FoldToCore(0);
+}
+
+Result<std::optional<UnionQuery>> MinimizeUnionQuery(const UnionQuery& ucq) {
+  const std::vector<ConjunctiveQuery>& disjuncts = ucq.disjuncts();
+  const std::size_t n = disjuncts.size();
+  StackBuffer<const ConjunctiveQuery*, 16> cqs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (disjuncts[i].arity() != disjuncts[0].arity()) {
+      return InvalidArgumentError("UCQ disjuncts have different arities");
+    }
+    cqs[i] = &disjuncts[i];
+  }
+  SmallUcq small;
+  QCONT_RETURN_IF_ERROR(small.Compile(cqs.data(), n));
+  bool changed = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool folded = small.FoldToCore(i);
+    changed = changed || folded || small.HadDuplicates(i);
+  }
+  StackBuffer<std::uint8_t, 16> dead(n);
+  std::fill(dead.data(), dead.data() + n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n && dead[i] == 0; ++j) {
+      if (j == i || dead[j] != 0 || !small.Contained(i, j)) continue;
+      if (j < i || !small.Contained(j, i)) {
+        // Subsumed by (or equivalent to) an earlier survivor, or strictly
+        // subsumed by a later disjunct.
+        dead[i] = 1;
+        changed = true;
+      }
+    }
+  }
+  if (!changed) return std::optional<UnionQuery>();
+  std::vector<ConjunctiveQuery> kept;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (dead[i] == 0) kept.push_back(small.Build(i));
+  }
+  return std::optional<UnionQuery>(UnionQuery(std::move(kept)));
 }
 
 }  // namespace qcont

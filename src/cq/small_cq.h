@@ -1,0 +1,130 @@
+#ifndef QCONT_CQ_SMALL_CQ_H_
+#define QCONT_CQ_SMALL_CQ_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+
+#include "base/status.h"
+#include "cq/query.h"
+
+namespace qcont {
+
+/// Storage for `n` trivially copyable elements: an inline array of N,
+/// one heap block past it. Sized once per use (`Reset`), so a kernel has
+/// one code path for every input size and allocates only when an input
+/// outgrows the inline capacity. Contents are unspecified after Reset.
+template <typename T, std::size_t N>
+class StackBuffer {
+ public:
+  StackBuffer() = default;
+  explicit StackBuffer(std::size_t n) { Reset(n); }
+  StackBuffer(const StackBuffer&) = delete;
+  StackBuffer& operator=(const StackBuffer&) = delete;
+
+  void Reset(std::size_t n) {
+    if (n > N && n > heap_size_) {
+      heap_.reset(new T[n]);
+      heap_size_ = n;
+    }
+    data_ = n > N ? heap_.get() : inline_;
+  }
+  T* data() { return data_; }
+  const T* data() const { return data_; }
+  T& operator[](std::size_t i) { return data_[i]; }
+  const T& operator[](std::size_t i) const { return data_[i]; }
+
+ private:
+  T inline_[N];
+  std::unique_ptr<T[]> heap_;
+  std::size_t heap_size_ = 0;
+  T* data_ = inline_;
+};
+
+/// The small-CQ kernel: a run of conjunctive queries compiled to dense
+/// integers against one name table, for cores, subsumption and
+/// Chandra–Merlin containment (DESIGN.md §19).
+///
+///  - Variables get dense per-query ids in first-occurrence order;
+///    predicates are keyed by (name, arity) and constants by name across
+///    the whole run. Term codes are typed: a constant's code carries
+///    `kConstantBit`, so variable `y` and constant `'y'` never share one.
+///  - A homomorphism search keeps, per source atom, the candidate target
+///    atoms as a bitmask (`uint64_t` words; a word array past 64 atoms)
+///    and narrows it by the precomputed (position, value) masks of the
+///    target, so candidate counts are popcounts.
+///  - Every table is a StackBuffer: a query inside the inline capacities
+///    is compiled, cored and tested for subsumption without allocating.
+///
+/// Duplicate atoms are dropped at compile time; a disjunct's current form
+/// is the ordered list of its surviving source atoms, so `Build` copies
+/// atoms of the input query (original variable names) and nothing else.
+class SmallUcq {
+ public:
+  using Code = std::uint32_t;
+  static constexpr Code kConstantBit = 0x80000000u;
+
+  SmallUcq() = default;
+  SmallUcq(const SmallUcq&) = delete;
+  SmallUcq& operator=(const SmallUcq&) = delete;
+
+  /// Compiles the queries `*cqs[0, n)`; the array and the queries must
+  /// outlive this object. A query that ConjunctiveQuery::Validate rejects
+  /// fails with Validate's status.
+  Status Compile(const ConjunctiveQuery* const* cqs, std::size_t n);
+
+  /// True iff disjunct `d` had duplicate atoms (dropped by Compile).
+  bool HadDuplicates(std::size_t d) const { return had_duplicates_[d] != 0; }
+
+  /// Replaces disjunct `d` by its core: repeatedly folds away the first
+  /// existential variable (first-occurrence order) that a retraction
+  /// eliminates, restarting after each fold — a retraction being a
+  /// homomorphism into the atoms that avoid the variable, identity on the
+  /// head. The search takes the most constrained atom first (most bound
+  /// positions, then fewest candidates) and tries candidates in atom
+  /// order, and the image keeps source order, which makes the result the
+  /// one the indexed homomorphism search picks on the canonical database.
+  /// Returns true iff a variable was folded away.
+  bool FoldToCore(std::size_t d);
+
+  /// Chandra–Merlin: disjunct `d` ⊆ disjunct `e` (equal arities). A
+  /// homomorphism from `e` into the frozen atoms of `d` that maps `e`'s
+  /// head onto `d`'s head position by position.
+  bool Contained(std::size_t d, std::size_t e);
+
+  /// Disjunct `d` in its current form: the head and the surviving atoms of
+  /// the source query, in order.
+  ConjunctiveQuery Build(std::size_t d) const;
+
+ private:
+  class Search;
+  struct View {
+    std::uint32_t num_atoms;
+    std::uint32_t num_vars;
+    std::uint32_t head_size;
+    const std::uint32_t* kept;  // source atom index within the disjunct
+    std::uint32_t atom_base;    // global index of the disjunct's atom 0
+    const Code* head;
+  };
+  View ViewOf(std::size_t d) const;
+
+  const ConjunctiveQuery* const* cqs_ = nullptr;
+  std::uint32_t num_constants_ = 0;
+  // Per disjunct.
+  StackBuffer<std::uint32_t, 17> atom_begin_;  // global atom index
+  StackBuffer<std::uint32_t, 17> head_begin_;
+  StackBuffer<std::uint32_t, 16> num_vars_;
+  StackBuffer<std::uint32_t, 16> kept_count_;
+  StackBuffer<std::uint8_t, 16> had_duplicates_;
+  // Per global atom: predicate id and term range; `kept_` holds, from each
+  // disjunct's atom_begin_, the surviving source atoms in order.
+  StackBuffer<std::uint32_t, 64> pred_;
+  StackBuffer<std::uint32_t, 65> term_begin_;
+  StackBuffer<std::uint32_t, 64> kept_;
+  StackBuffer<Code, 192> terms_;
+  StackBuffer<Code, 32> head_;
+};
+
+}  // namespace qcont
+
+#endif  // QCONT_CQ_SMALL_CQ_H_

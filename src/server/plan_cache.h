@@ -77,7 +77,9 @@ struct PlanCacheConfig {
 ///    (containment routes without one),
 ///  - **core**: minimized (subsumption-pruned, per-disjunct-cored) UCQs,
 ///    stored structurally (the CQ text form is display-only, not
-///    re-parseable),
+///    re-parseable). The server no longer reads or fills it (it minimizes
+///    per request on the small-CQ kernel); serverbench's traced replay
+///    still does,
 ///  - **eval**: goal tuples of Π(D) per (program, database) pair.
 ///
 /// Thread safety, eviction and epochs are LruCache's (base/lru_cache.h):

@@ -9,7 +9,6 @@
 
 #include "analysis/report.h"
 #include "core/router.h"
-#include "cq/containment.h"
 #include "cq/core.h"
 #include "datalog/eval.h"
 #include "parser/parser.h"
@@ -70,40 +69,6 @@ bool SmallEnoughToMinimize(const UnionQuery& ucq) {
     if (cq.atoms().size() > 24) return false;
   }
   return true;
-}
-
-/// Subsumption-pruned, per-disjunct-cored equivalent of `ucq`: every
-/// disjunct is replaced by its core, then disjuncts contained in another
-/// surviving disjunct are dropped (ties between equivalent disjuncts keep
-/// the earliest). The result is equivalent to `ucq`, so verdicts and
-/// witnesses transfer verbatim.
-Result<UnionQuery> MinimizeUcq(const UnionQuery& ucq) {
-  std::vector<ConjunctiveQuery> cores;
-  cores.reserve(ucq.disjuncts().size());
-  for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
-    QCONT_ASSIGN_OR_RETURN(ConjunctiveQuery core, CoreOf(cq));
-    cores.push_back(std::move(core));
-  }
-  const std::size_t n = cores.size();
-  std::vector<bool> dead(n, false);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n && !dead[i]; ++j) {
-      if (j == i || dead[j]) continue;
-      QCONT_ASSIGN_OR_RETURN(bool fwd, CqContained(cores[i], cores[j]));
-      if (!fwd) continue;
-      if (j < i) {
-        dead[i] = true;  // subsumed by (or equivalent to) an earlier survivor
-      } else {
-        QCONT_ASSIGN_OR_RETURN(bool back, CqContained(cores[j], cores[i]));
-        if (!back) dead[i] = true;  // strictly subsumed by a later disjunct
-      }
-    }
-  }
-  std::vector<ConjunctiveQuery> kept;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!dead[i]) kept.push_back(std::move(cores[i]));
-  }
-  return UnionQuery(std::move(kept));
 }
 
 /// A request after JSON decoding and input parsing, carrying everything
@@ -299,8 +264,10 @@ void PrepareRequest(const std::string& line, const ServerOptions& options,
   }
 }
 
-/// Containment: minimize Θ (memoized), consult the verdict cache under the
-/// minimized canonical hash, run the routed engines on a miss.
+/// Containment: minimize Θ, consult the verdict cache under the minimized
+/// canonical hash, run the routed engines on a miss. An already minimal Θ
+/// (the common case) keeps the request's query and key: no copy, no second
+/// hash.
 Outcome RunContainment(const ServerOptions& options, PlanCache& cache,
                        Prepared& p) {
   const DatalogProgram& program = *p.program;
@@ -310,17 +277,10 @@ Outcome RunContainment(const ServerOptions& options, PlanCache& cache,
   std::optional<UnionQuery> minimized;
   if (options.minimize_queries && SmallEnoughToMinimize(*p.query)) {
     ObsSpan span(options.obs, "server/minimize", "server");
-    if (auto hit = cache.LookupCoreUcq(p.key2)) {
-      minimized = std::move(*hit);
-    } else {
-      auto result = MinimizeUcq(*p.query);
-      // Minimization is an optimization: on any error keep the original.
-      if (result.ok()) {
-        minimized = std::move(*result);
-        cache.InsertCoreUcq(p.key2, *minimized);
-      }
-    }
-    if (minimized.has_value()) {
+    auto result = MinimizeUnionQuery(*p.query);
+    // Minimization is an optimization: on any error keep the original.
+    if (result.ok() && result->has_value()) {
+      minimized = std::move(**result);
       theta = &*minimized;
       query_hash = analysis::CanonicalQueryHash(*minimized);
     }

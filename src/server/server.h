@@ -41,10 +41,11 @@ struct ServerOptions {
   /// inside an engine run (engines bound work by their own budgets).
   std::uint64_t default_deadline_ms = 0;
   /// Pre-pass for containment queries: replace Θ by its minimized
-  /// equivalent (subsumption-pruned, per-disjunct cores, memoized in the
-  /// plan cache) so the verdict cache also unifies redundant variants of
-  /// one query. Skipped for queries above a small size guard (CoreOf is
-  /// worst-case exponential).
+  /// equivalent (per-disjunct cores, subsumption-pruned; MinimizeUnionQuery
+  /// on the small-CQ kernel, recomputed per request) so the verdict cache
+  /// also unifies redundant variants of one query. Skipped for queries
+  /// above a small size guard (core computation is worst-case
+  /// exponential).
   bool minimize_queries = true;
   /// Plan-cache capacities. `cache.obs` is overridden with `obs`.
   PlanCacheConfig cache;

@@ -521,8 +521,14 @@ DecompositionCertificate DecomposeGraph(const UndirectedGraph& g,
 
 DecompositionCertificate DecomposeHypergraph(const Hypergraph& h,
                                              const DecomposeOptions& options) {
+  return DecomposeHypergraph(h, DecomposeGraph(h.PrimalGraph(), options),
+                             options);
+}
+
+DecompositionCertificate DecomposeHypergraph(
+    const Hypergraph& h, DecompositionCertificate tree,
+    const DecomposeOptions& options) {
   ObsSpan span(options.obs, "decomp/build_hypertree", "structure");
-  DecompositionCertificate tree = DecomposeGraph(h.PrimalGraph(), options);
   DecompositionCertificate out;
   out.kind = DecompositionKind::kGeneralizedHypertree;
   out.method = DecompositionMethod::kSetCover;

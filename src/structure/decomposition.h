@@ -138,6 +138,13 @@ DecompositionCertificate DecomposeGraph(const UndirectedGraph& g,
 /// ghw(h); it is exact (=1) iff the hypergraph is acyclic.
 DecompositionCertificate DecomposeHypergraph(const Hypergraph& h,
                                              const DecomposeOptions& options = {});
+/// The same, covering the bags of `primal_tree`, a DecomposeGraph
+/// certificate of `h.PrimalGraph()` the caller already holds — e.g. of a
+/// query's GaifmanGraph, which is CqHypergraph's primal graph (both number
+/// variables in body first-occurrence order).
+DecompositionCertificate DecomposeHypergraph(
+    const Hypergraph& h, DecompositionCertificate primal_tree,
+    const DecomposeOptions& options = {});
 
 /// Certificate view of a join tree of an acyclic CQ: bags are the atoms'
 /// variable sets, each covered by its own atom — a width-1 generalized

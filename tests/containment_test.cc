@@ -52,6 +52,30 @@ TEST(CqContainmentTest, ArityMismatchRejected) {
   EXPECT_FALSE(CqContained(q1, q2).ok());
 }
 
+// A variable and a constant of the same name are different terms: the left
+// query is renamed apart before it is frozen into its canonical database.
+TEST(CqContainmentTest, VariableAndConstantOfOneNameStayApart) {
+  // Q() :- r(y) is not contained in Q() :- r('y').
+  EXPECT_FALSE(*CqContained(Cq("Q() :- r(y)."), Cq("Q() :- r('y').")));
+  EXPECT_TRUE(*CqContained(Cq("Q() :- r('y')."), Cq("Q() :- r(y).")));
+  // A left query mentioning both: r(y,'y') does not force a loop.
+  EXPECT_FALSE(*CqContained(Cq("Q() :- r(y,'y')."), Cq("Q() :- r(z,z).")));
+  EXPECT_TRUE(*CqContained(Cq("Q() :- r('y','y')."), Cq("Q() :- r(z,z).")));
+  // The query the old core computation returned for
+  // Q(x) :- r(x,y), s('y',x), s(w,x) is strictly smaller than it.
+  ConjunctiveQuery input = Cq("Q(x) :- r(x,y), s('y',x), s(w,x).");
+  ConjunctiveQuery wrong = Cq("Q(x) :- r(x,y), s('y',x), s(y,x).");
+  EXPECT_TRUE(*CqContained(wrong, input));
+  EXPECT_FALSE(*CqContained(input, wrong));
+  EXPECT_FALSE(*UcqEquivalent(UnionQuery({input}), UnionQuery({wrong})));
+  // The grid path (threads > 1) renames apart the same way.
+  HomSearchOptions parallel;
+  parallel.exec.threads = 4;
+  EXPECT_FALSE(*UcqContained(UnionQuery({input, Cq("Q(x) :- r(x,x).")}),
+                             UnionQuery({wrong, Cq("Q(x) :- r(x,'x').")}),
+                             nullptr, parallel));
+}
+
 TEST(UcqContainmentTest, SagivYannakakis) {
   auto lhs = ParseUcq("Q(x,y) :- a(x,y). Q(x,y) :- b(x,y).");
   auto rhs = ParseUcq("Q(x,y) :- a(x,y). Q(x,y) :- b(x,z), b(z,y). Q(x,y) :- b(x,y).");

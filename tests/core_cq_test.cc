@@ -67,6 +67,22 @@ TEST(CoreTest, DuplicateAtomsAreRemoved) {
   EXPECT_EQ(core->atoms().size(), 1u);
 }
 
+TEST(CoreTest, ConstantsAndVariablesOfOneNameStayApart) {
+  // s(w,x) folds onto s('y',x); the variable y is not the constant 'y'.
+  ConjunctiveQuery cq = Cq("Q(x) :- r(x,y), s('y',x), s(w,x).");
+  auto core = CoreOf(cq);
+  ASSERT_TRUE(core.ok());
+  EXPECT_EQ(core->ToString(), "(x) <- r(x,y), s('y',x)");
+  EXPECT_TRUE(*UcqEquivalent(UnionQuery({cq}), UnionQuery({*core})));
+  EXPECT_FALSE(*IsCore(cq));
+  // r(y,'y') is no loop, so r(z,z) cannot fold onto it.
+  EXPECT_TRUE(*IsCore(Cq("Q() :- r(y,'y'), r(z,z).")));
+  auto minimized = MinimizeUnionQuery(
+      UnionQuery({Cq("Q() :- r(y)."), Cq("Q() :- r('y').")}));
+  ASSERT_TRUE(minimized.ok() && minimized->has_value());
+  EXPECT_EQ((*minimized)->ToString(), "() <- r(y)");
+}
+
 // Properties: the core is equivalent to the original, is itself a core,
 // and re-coring is idempotent.
 TEST(CoreProperty, EquivalentIdempotentMinimal) {

@@ -7,12 +7,16 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/report.h"
+#include "cq/core.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "parser/parser.h"
 #include "server/json.h"
 #include "server/plan_cache.h"
 #include "server/server.h"
@@ -320,6 +324,57 @@ TEST(ServerTest, ContainmentLeavesTheAnalysisShardEmpty) {
 #ifndef QCONT_OBS_NOOP
     EXPECT_EQ(metrics.Value("server.cache.analysis.insertions"), 1u) << query;
 #endif  // QCONT_OBS_NOOP
+  }
+}
+
+// Minimization runs per request and is not memoized: an already minimal Θ
+// is verdict-cached under the request's own canonical key, a redundant one
+// under its minimized query's key, and the core layer stays empty.
+TEST(ServerTest, MinimalQueriesKeepTheirKeyAndTheCoreLayerStaysEmpty) {
+  const char* program = "g(x,y) :- e(x,y). g(x,y) :- e(x,z), g(z,y). goal g.";
+  const std::uint64_t program_hash =
+      analysis::CanonicalProgramHash(*ParseProgram(program));
+  // The second Θ folds z onto y and then drops its subsumed disjunct.
+  for (const auto& [query, minimal] :
+       {std::pair("Q(x,y) :- e(x,y). Q(x,y) :- e(x,z), e(z,y).", true),
+        std::pair("Q(x,y) :- e(x,y), e(x,z). Q(x,y) :- e(x,y), e(y,w).",
+                  false)}) {
+    const UnionQuery theta = *ParseUcq(query);
+    auto minimized = MinimizeUnionQuery(theta);
+    ASSERT_TRUE(minimized.ok());
+    ASSERT_EQ(minimized->has_value(), !minimal) << query;
+    const std::uint64_t request_key = analysis::CanonicalQueryHash(theta);
+    const std::uint64_t verdict_key =
+        minimal ? request_key : analysis::CanonicalQueryHash(**minimized);
+    EXPECT_EQ(minimal, verdict_key == request_key) << query;
+
+    MetricRegistry metrics;
+    ObsContext obs;
+    obs.metrics = &metrics;
+    ServerOptions options;
+    options.obs = &obs;
+    Server server(options);
+    std::string request = R"({"id":1,"op":"containment","program":")";
+    request += program;
+    request += R"(","query":")";
+    request += query;
+    request += R"("})";
+    const std::vector<std::string> out = server.HandleBatch({request});
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_NE(out[0].find("\"status\":\"ok\""), std::string::npos) << out[0];
+#ifndef QCONT_OBS_NOOP
+    for (const char* counter :
+         {"server.cache.core.hits", "server.cache.core.misses",
+          "server.cache.core.insertions"}) {
+      EXPECT_EQ(metrics.Value(counter), 0u) << counter << " " << query;
+    }
+#endif  // QCONT_OBS_NOOP
+    EXPECT_EQ(server.cache().stats().entries, 1u) << query;
+    EXPECT_TRUE(server.cache()
+                    .LookupVerdict(PlanKey{program_hash, verdict_key})
+                    .has_value())
+        << query;
+    EXPECT_FALSE(server.cache().LookupCoreUcq(request_key).has_value());
   }
 }
 
