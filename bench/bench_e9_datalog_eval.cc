@@ -178,14 +178,12 @@ void BM_TcRandomGraph(benchmark::State& state) {
   std::mt19937 rng(5);
   DatalogProgram tc = bench::TcProgram();
   Database db = bench::RandomEdgeDatabase(&rng, n, 2 * n);
+  EvalOptions options;
+  options.strategy = semi ? EvalStrategy::kSemiNaive : EvalStrategy::kNaive;
   DatalogEvalStats stats;
   for (auto _ : state) {
     stats = DatalogEvalStats();
-    benchmark::DoNotOptimize(
-        EvaluateGoal(tc, db,
-                     semi ? EvalStrategy::kSemiNaive : EvalStrategy::kNaive,
-                     &stats)
-            ->size());
+    benchmark::DoNotOptimize(EvaluateGoal(tc, db, options, &stats)->size());
   }
   state.counters["rule_firings"] = static_cast<double>(stats.rule_firings);
   state.SetLabel(semi ? "semi_naive" : "naive");
@@ -215,15 +213,13 @@ void BM_SameGeneration(benchmark::State& state) {
     level = next;
   }
   db.AddFact("flat", {"n0", "n0"});
+  EvalOptions options;
+  options.strategy = semi ? EvalStrategy::kSemiNaive : EvalStrategy::kNaive;
   DatalogEvalStats stats;
   std::size_t derived = 0;
   for (auto _ : state) {
     stats = DatalogEvalStats();
-    derived = EvaluateGoal(*sg, db,
-                           semi ? EvalStrategy::kSemiNaive
-                                : EvalStrategy::kNaive,
-                           &stats)
-                  ->size();
+    derived = EvaluateGoal(*sg, db, options, &stats)->size();
   }
   state.counters["derived"] = static_cast<double>(derived);
   state.counters["rule_firings"] = static_cast<double>(stats.rule_firings);

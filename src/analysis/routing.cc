@@ -50,11 +50,8 @@ Result<bool> RoutedSatisfiable(const ConjunctiveQuery& cq, const Database& db,
     case EngineKind::kDecompDp:
       return BoundedWidthSatisfiable(cq, db, fixed, nullptr,
                                      options.routing.obs);
-    default: {
-      HomSearchOptions hom;
-      hom.obs = options.routing.obs;
-      return FindHomomorphism(cq, db, fixed, nullptr, hom).has_value();
-    }
+    default:
+      return FindHomomorphism(cq, db, fixed).has_value();
   }
 }
 
@@ -79,11 +76,8 @@ Result<std::vector<Tuple>> RoutedEvaluateCq(const ConjunctiveQuery& cq,
       return InvalidArgumentError(
           "the decomposition DP cannot enumerate answers; force "
           "yannakakis or generic-hom-search");
-    default: {
-      HomSearchOptions hom;
-      hom.obs = options.routing.obs;
-      return EvaluateCq(cq, db, nullptr, hom);
-    }
+    default:
+      return EvaluateCq(cq, db);
   }
 }
 

@@ -101,9 +101,6 @@ struct TypeEngineOptions {
   ProgramArtifactCache* artifact_cache = nullptr;
 };
 
-/// Backwards-compatible name from when the struct carried only budgets.
-using TypeEngineLimits = TypeEngineOptions;
-
 /// Decides CONT(Datalog, UCQ): is Π ⊆ Θ? This is the general
 /// Chaudhuri-Vardi procedure [12] in its explicit deterministic form: the
 /// reachable *types* of expansion subtrees are computed by a least

@@ -89,8 +89,7 @@ const ConjunctiveQuery& RenamedApart(
 Result<bool> ContainedInDisjunct(const ConjunctiveQuery& theta_prime,
                                  const Database& canonical,
                                  const Tuple& frozen_head,
-                                 HomSearchStats* stats,
-                                 const HomSearchOptions& options) {
+                                 HomSearchStats* stats) {
   Assignment fixed;
   for (std::size_t i = 0; i < theta_prime.head().size(); ++i) {
     const std::string& var = theta_prime.head()[i].name();
@@ -103,16 +102,14 @@ Result<bool> ContainedInDisjunct(const ConjunctiveQuery& theta_prime,
       fixed.emplace(var, frozen_head[i]);
     }
   }
-  return FindHomomorphism(theta_prime, canonical, fixed, stats, options)
-      .has_value();
+  return FindHomomorphism(theta_prime, canonical, fixed, stats).has_value();
 }
 
 // Sagiv-Yannakakis inner step: theta ⊆ some disjunct of theta_prime. The
 // canonical database of theta is built once and shared across disjuncts.
 Result<bool> CqInUcqPrevalidated(const ConjunctiveQuery& theta,
                                  const UnionQuery& theta_prime,
-                                 HomSearchStats* stats,
-                                 const HomSearchOptions& options) {
+                                 HomSearchStats* stats) {
   std::optional<ConjunctiveQuery> renamed;
   const ConjunctiveQuery& frozen =
       RenamedApart(theta, ConstantsOf(theta_prime), &renamed);
@@ -126,7 +123,7 @@ Result<bool> CqInUcqPrevalidated(const ConjunctiveQuery& theta,
     }
     QCONT_ASSIGN_OR_RETURN(
         bool contained,
-        ContainedInDisjunct(disjunct, canonical, frozen_head, stats, options));
+        ContainedInDisjunct(disjunct, canonical, frozen_head, stats));
     if (contained) return true;
   }
   return false;
@@ -222,8 +219,8 @@ Result<bool> GridContained(const ConjunctiveQuery* lefts, std::size_t nl,
       out.arity_error = true;
       AtomicMin(&first_err[i], j);
     } else {
-      Result<bool> pair = ContainedInDisjunct(rights[j], canonical[i],
-                                              heads[i], &out.stats, options);
+      Result<bool> pair =
+          ContainedInDisjunct(rights[j], canonical[i], heads[i], &out.stats);
       // ContainedInDisjunct only fails on the arity precondition, which is
       // checked above; keep the invariant explicit.
       QCONT_CHECK(pair.ok());
@@ -276,7 +273,7 @@ Result<bool> ContainedPrevalidatedImpl(const ConjunctiveQuery* lefts,
       pair_span.AddArg("row", i);
       QCONT_ASSIGN_OR_RETURN(
           bool contained,
-          CqInUcqPrevalidated(lefts[i], theta_prime, stats, options));
+          CqInUcqPrevalidated(lefts[i], theta_prime, stats));
       if (!contained) return false;
     }
     return true;
@@ -328,11 +325,11 @@ Result<bool> CqContained(const ConjunctiveQuery& theta,
   MetricRegistry* metrics = ObsMetrics(options.obs);
   if (metrics == nullptr) {
     return ContainedInDisjunct(theta_prime, canonical, CanonicalHead(frozen),
-                               stats, options);
+                               stats);
   }
   HomSearchStats run;
   Result<bool> result = ContainedInDisjunct(
-      theta_prime, canonical, CanonicalHead(frozen), &run, options);
+      theta_prime, canonical, CanonicalHead(frozen), &run);
   run.PublishTo(metrics, "cq.contain.hom");
   if (stats != nullptr) stats->Merge(run);
   return result;

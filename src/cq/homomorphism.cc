@@ -8,126 +8,15 @@
 #include <span>
 #include <string>
 
-#include "base/check.h"
-
 namespace qcont {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Scan engine: the pre-index reference implementation. Static greedy atom
-// order, full relation scan per atom, string-keyed bindings. Kept verbatim
-// (modulo per-atom databases) so the differential tests can pin the indexed
-// engine against it.
-// ---------------------------------------------------------------------------
-struct ScanSearcher {
-  std::vector<Atom> atoms;                // ordered at construction
-  std::vector<const Database*> dbs;       // parallel to `atoms`
-  Assignment binding;
-  HomSearchStats* stats;
-  const std::function<bool(const Assignment&)>* visit = nullptr;
-  bool stopped = false;
-
-  ScanSearcher(const std::vector<Atom>& atoms_in,
-               const std::vector<const Database*>& dbs_in,
-               const Assignment& fixed, HomSearchStats* stats_in)
-      : atoms(atoms_in), dbs(dbs_in), binding(fixed), stats(stats_in) {
-    OrderAtoms();
-  }
-
-  // Greedy static order: repeatedly pick the atom with the most variables
-  // already covered by earlier atoms (or `fixed`), tie-broken by smaller
-  // relation. Keeps the search close to a join order a planner would pick.
-  void OrderAtoms() {
-    std::vector<Atom> ordered;
-    std::vector<const Database*> ordered_dbs;
-    std::set<std::string> bound;
-    for (const auto& [var, value] : binding) bound.insert(var);
-    std::vector<bool> used(atoms.size(), false);
-    for (std::size_t round = 0; round < atoms.size(); ++round) {
-      int best = -1;
-      long best_score = -1;
-      for (std::size_t i = 0; i < atoms.size(); ++i) {
-        if (used[i]) continue;
-        long covered = 0;
-        for (const Term& t : atoms[i].terms()) {
-          if (t.is_constant() || bound.count(t.name())) ++covered;
-        }
-        // Prefer high coverage, then small relations.
-        long score =
-            covered * 1000000 -
-            static_cast<long>(dbs[i]->Facts(atoms[i].predicate()).size());
-        if (best < 0 || score > best_score) {
-          best = static_cast<int>(i);
-          best_score = score;
-        }
-      }
-      used[best] = true;
-      for (const Term& t : atoms[best].terms()) {
-        if (t.is_variable()) bound.insert(t.name());
-      }
-      ordered.push_back(atoms[best]);
-      ordered_dbs.push_back(dbs[best]);
-    }
-    atoms = std::move(ordered);
-    dbs = std::move(ordered_dbs);
-  }
-
-  void Recurse(std::size_t index) {
-    if (stopped) return;
-    if (index == atoms.size()) {
-      if (!(*visit)(binding)) stopped = true;
-      return;
-    }
-    const Atom& atom = atoms[index];
-    for (const Tuple& fact : dbs[index]->Facts(atom.predicate())) {
-      if (fact.size() != atom.arity()) continue;
-      if (stats != nullptr) {
-        ++stats->atom_attempts;
-        ++stats->scan_candidates;
-      }
-      // Try to unify atom terms with the fact.
-      std::vector<std::string> newly_bound;
-      bool ok = true;
-      for (std::size_t i = 0; i < fact.size(); ++i) {
-        const Term& t = atom.terms()[i];
-        if (t.is_constant()) {
-          if (t.name() != fact[i]) {
-            ok = false;
-            break;
-          }
-          continue;
-        }
-        auto it = binding.find(t.name());
-        if (it != binding.end()) {
-          if (it->second != fact[i]) {
-            ok = false;
-            break;
-          }
-        } else {
-          binding.emplace(t.name(), fact[i]);
-          newly_bound.push_back(t.name());
-        }
-      }
-      if (ok) {
-        Recurse(index + 1);
-      } else if (stats != nullptr) {
-        ++stats->backtracks;
-      }
-      for (const std::string& var : newly_bound) binding.erase(var);
-      if (stopped) return;
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Indexed engine: interned value ids, per-relation probe tables on the
+// The search: interned value ids, per-relation probe tables on the
 // bound-position subset, and dynamic atom selection by estimated candidate
-// count. All databases must share one value pool. Candidate rows are read
-// as slices of the relation's arena (per-row fallback for sharded
-// relations); probe keys live in a stack buffer, so an atom expansion does
-// not allocate.
-// ---------------------------------------------------------------------------
+// count. Candidate rows are read as slices of the relation's arena
+// (per-row fallback for sharded relations); probe keys live in a stack
+// buffer, so an atom expansion does not allocate.
 struct IndexedSearcher {
   // One atom position: either a pool-interned constant or a dense-local
   // variable slot.
@@ -137,11 +26,10 @@ struct IndexedSearcher {
     int var;           // valid when !is_const
   };
   struct AtomInfo {
-    const Database* db;
     RelationId rel;  // pool id of the predicate; kNoRelation matches nothing
-    std::size_t num_rows;               // frozen-region snapshot
-    std::size_t arity;                  // of the stored relation (0 if absent)
-    std::span<const ValueId> arena;     // unsharded only; empty if sharded
+    std::size_t num_rows;            // frozen-region snapshot
+    std::size_t arity;               // of the stored relation (0 if absent)
+    std::span<const ValueId> arena;  // unsharded only; empty if sharded
     std::vector<Slot> slots;
   };
 
@@ -150,6 +38,7 @@ struct IndexedSearcher {
   std::vector<ValueId> binding;        // var slot -> id, kNoValue if unbound
   std::vector<std::string> var_names;  // var slot -> name
   std::unordered_map<std::string, int> var_slots;
+  const Database& db;
   const Interner* pool;
   const Assignment* fixed;
   HomSearchStats* stats;
@@ -158,21 +47,18 @@ struct IndexedSearcher {
   bool stopped = false;
   bool impossible = false;  // a constant or fixed value matches no fact
 
-  IndexedSearcher(const std::vector<Atom>& atoms_in,
-                  const std::vector<const Database*>& dbs_in,
+  IndexedSearcher(const std::vector<Atom>& atoms_in, const Database& db_in,
                   std::span<const RelationId> rel_ids,
                   const Assignment& fixed_in, HomSearchStats* stats_in)
-      : fixed(&fixed_in), stats(stats_in) {
-    pool = dbs_in.empty() ? nullptr : dbs_in[0]->pool().get();
+      : db(db_in), pool(db_in.pool().get()), fixed(&fixed_in), stats(stats_in) {
     atoms.reserve(atoms_in.size());
     for (std::size_t i = 0; i < atoms_in.size(); ++i) {
       AtomInfo info;
-      info.db = dbs_in[i];
       info.rel = rel_ids.empty() ? pool->Find(atoms_in[i].predicate())
                                  : rel_ids[i];
-      info.num_rows = info.db->NumRows(info.rel);
-      info.arity = info.db->Arity(info.rel);
-      info.arena = info.db->Arena(info.rel);
+      info.num_rows = db.NumRows(info.rel);
+      info.arity = db.Arity(info.rel);
+      info.arena = db.Arena(info.rel);
       info.slots.reserve(atoms_in[i].arity());
       for (const Term& t : atoms_in[i].terms()) {
         Slot slot;
@@ -256,7 +142,7 @@ struct IndexedSearcher {
       return atom.arena.subspan(static_cast<std::size_t>(r) * atom.arity,
                                 atom.arity);
     }
-    return atom.db->Row(atom.rel, r);
+    return db.Row(atom.rel, r);
   }
 
   void Recurse(std::size_t depth) {
@@ -291,7 +177,7 @@ struct IndexedSearcher {
       if (max_bound > 0) {
         const std::uint32_t mask = BoundMask(atom, key_buf);
         if (stats != nullptr) ++stats->index_probes;
-        bucket = atom.db->Probe(
+        bucket = db.Probe(
             atom.rel, mask,
             std::span<const ValueId>(key_buf,
                                      static_cast<std::size_t>(max_bound)));
@@ -369,102 +255,57 @@ struct IndexedSearcher {
   }
 };
 
-bool SharePool(const std::vector<const Database*>& dbs) {
-  for (std::size_t i = 1; i < dbs.size(); ++i) {
-    if (dbs[i]->pool() != dbs[0]->pool()) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
-// Pimpl body of RowEnumerator: owns the fixed-assignment copy the searcher
-// borrows from.
+// Pimpl body of RowEnumerator: owns the (empty) fixed assignment the
+// searcher borrows.
 class RowEnumeratorImpl {
  public:
-  Assignment fixed;
-  std::optional<IndexedSearcher> searcher;
-  bool valid = false;
-  static const std::vector<std::string> kNoVars;
+  RowEnumeratorImpl(const std::vector<Atom>& atoms, const Database& db,
+                    std::span<const RelationId> rel_ids, HomSearchStats* stats)
+      : searcher(atoms, db, rel_ids, no_fixed, stats) {}
+  const Assignment no_fixed;
+  IndexedSearcher searcher;
 };
-const std::vector<std::string> RowEnumeratorImpl::kNoVars;
 
 RowEnumerator::RowEnumerator(const std::vector<Atom>& atoms,
-                             const std::vector<const Database*>& dbs,
+                             const Database& db,
                              std::span<const RelationId> rel_ids,
-                             const Assignment& fixed, HomSearchStats* stats,
-                             const HomSearchOptions& options)
-    : impl_(std::make_unique<RowEnumeratorImpl>()) {
-  QCONT_CHECK(atoms.size() == dbs.size());
-  impl_->valid = options.use_index && !dbs.empty() && SharePool(dbs);
-  if (!impl_->valid) return;
-  impl_->fixed = fixed;
-  impl_->searcher.emplace(atoms, dbs, rel_ids, impl_->fixed, stats);
-}
+                             HomSearchStats* stats)
+    : impl_(std::make_unique<RowEnumeratorImpl>(atoms, db, rel_ids, stats)) {}
 
 RowEnumerator::~RowEnumerator() = default;
 
-bool RowEnumerator::valid() const { return impl_->valid; }
-
 const std::vector<std::string>& RowEnumerator::var_names() const {
-  return impl_->searcher ? impl_->searcher->var_names
-                         : RowEnumeratorImpl::kNoVars;
+  return impl_->searcher.var_names;
 }
 
 int RowEnumerator::VarSlot(std::string_view name) const {
-  if (!impl_->searcher) return -1;
-  auto it = impl_->searcher->var_slots.find(std::string(name));
-  return it == impl_->searcher->var_slots.end() ? -1 : it->second;
+  auto it = impl_->searcher.var_slots.find(std::string(name));
+  return it == impl_->searcher.var_slots.end() ? -1 : it->second;
 }
 
 void RowEnumerator::Enumerate(
     const std::function<bool(std::span<const ValueId>)>& visit) {
-  if (!impl_->valid || impl_->searcher->impossible) return;
-  impl_->searcher->visit_ids = &visit;
-  impl_->searcher->Recurse(0);
-}
-
-void EnumerateHomomorphismsOver(
-    const std::vector<Atom>& atoms, const std::vector<const Database*>& dbs,
-    std::span<const RelationId> rel_ids, const Assignment& fixed,
-    const std::function<bool(const Assignment&)>& visit,
-    HomSearchStats* stats, const HomSearchOptions& options) {
-  QCONT_CHECK(atoms.size() == dbs.size());
-  if (options.use_index && SharePool(dbs)) {
-    IndexedSearcher searcher(atoms, dbs, rel_ids, fixed, stats);
-    if (searcher.impossible) return;
-    searcher.visit = &visit;
-    searcher.Recurse(0);
-    return;
-  }
-  ScanSearcher searcher(atoms, dbs, fixed, stats);
-  searcher.visit = &visit;
-  searcher.Recurse(0);
-}
-
-void EnumerateHomomorphismsOver(
-    const std::vector<Atom>& atoms, const std::vector<const Database*>& dbs,
-    const Assignment& fixed,
-    const std::function<bool(const Assignment&)>& visit,
-    HomSearchStats* stats, const HomSearchOptions& options) {
-  EnumerateHomomorphismsOver(atoms, dbs, /*rel_ids=*/{}, fixed, visit, stats,
-                             options);
+  if (impl_->searcher.impossible) return;
+  impl_->searcher.visit_ids = &visit;
+  impl_->searcher.Recurse(0);
 }
 
 void EnumerateHomomorphisms(const ConjunctiveQuery& cq, const Database& db,
                             const Assignment& fixed,
                             const std::function<bool(const Assignment&)>& visit,
-                            HomSearchStats* stats,
-                            const HomSearchOptions& options) {
-  std::vector<const Database*> dbs(cq.atoms().size(), &db);
-  EnumerateHomomorphismsOver(cq.atoms(), dbs, fixed, visit, stats, options);
+                            HomSearchStats* stats) {
+  IndexedSearcher searcher(cq.atoms(), db, /*rel_ids=*/{}, fixed, stats);
+  if (searcher.impossible) return;
+  searcher.visit = &visit;
+  searcher.Recurse(0);
 }
 
 std::optional<Assignment> FindHomomorphism(const ConjunctiveQuery& cq,
                                            const Database& db,
                                            const Assignment& fixed,
-                                           HomSearchStats* stats,
-                                           const HomSearchOptions& options) {
+                                           HomSearchStats* stats) {
   std::optional<Assignment> found;
   EnumerateHomomorphisms(
       cq, db, fixed,
@@ -472,13 +313,12 @@ std::optional<Assignment> FindHomomorphism(const ConjunctiveQuery& cq,
         found = h;
         return false;  // stop at the first homomorphism
       },
-      stats, options);
+      stats);
   return found;
 }
 
 std::vector<Tuple> EvaluateCq(const ConjunctiveQuery& cq, const Database& db,
-                              HomSearchStats* stats,
-                              const HomSearchOptions& options) {
+                              HomSearchStats* stats) {
   std::set<Tuple> results;
   EnumerateHomomorphisms(
       cq, db, /*fixed=*/{},
@@ -489,16 +329,15 @@ std::vector<Tuple> EvaluateCq(const ConjunctiveQuery& cq, const Database& db,
         results.insert(std::move(out));
         return true;
       },
-      stats, options);
+      stats);
   return std::vector<Tuple>(results.begin(), results.end());
 }
 
 std::vector<Tuple> EvaluateUcq(const UnionQuery& ucq, const Database& db,
-                               HomSearchStats* stats,
-                               const HomSearchOptions& options) {
+                               HomSearchStats* stats) {
   std::set<Tuple> results;
   for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
-    for (Tuple& t : EvaluateCq(cq, db, stats, options)) {
+    for (Tuple& t : EvaluateCq(cq, db, stats)) {
       results.insert(std::move(t));
     }
   }

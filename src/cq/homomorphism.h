@@ -33,14 +33,14 @@ struct HomSearchStats {
   /// Times the search retracted an atom binding after exhausting its
   /// candidates. Accumulates across runs.
   std::uint64_t backtracks = 0;
-  /// Hash-index lookups issued by the indexed engine (one per atom
-  /// expansion that went through an index). Accumulates across runs.
+  /// Hash-index lookups issued by the search (one per atom expansion that
+  /// went through an index). Accumulates across runs.
   std::uint64_t index_probes = 0;
   /// Candidates enumerated via an index (sum of probe result sizes).
   /// Accumulates across runs.
   std::uint64_t index_candidates = 0;
-  /// Candidates enumerated via a full relation scan (the pre-index path,
-  /// or atoms with no bound position). Accumulates across runs.
+  /// Candidates enumerated via a full relation scan: the rows of an atom
+  /// expanded with no bound position. Accumulates across runs.
   std::uint64_t scan_candidates = 0;
 
   void Merge(const HomSearchStats& other) {
@@ -64,87 +64,53 @@ struct HomSearchStats {
   }
 };
 
-/// Search configuration. The indexed path is the default; the scan path is
-/// the pre-index reference implementation (static greedy atom order, full
-/// relation scan per atom) kept for differential testing. `exec` controls
-/// the fan-out of *independent* hom-checks in the UCQ containment loops
-/// (UcqContained / CqContainedInUcq); a single FindHomomorphism search is
-/// always serial.
+/// Configuration of the UCQ containment entry points (cq/containment.h).
+/// `exec` controls the fan-out of *independent* hom-checks in the UCQ
+/// containment loops (UcqContained / CqContainedInUcq); a single
+/// homomorphism search is always serial. There is one search engine, the
+/// indexed one below; its scan reference lives in tests/hom_oracle.h.
 struct HomSearchOptions {
-  bool use_index = true;
   ExecContext exec;
   /// Optional observability sinks (spans + metrics), carried next to `exec`
   /// and borrowed from the caller. The UCQ containment entry points publish
-  /// their run's stats under `cq.contain.hom.*` and emit `ucq/*` spans;
-  /// plain evaluation entry points do not publish (their callers own the
-  /// run boundary). See DESIGN.md §12.
+  /// their run's stats under `cq.contain.hom.*` and emit `ucq/*` spans.
+  /// The plain evaluation entry points below take no options and do not
+  /// publish (their callers own the run boundary). See DESIGN.md §12.
   const ObsContext* obs = nullptr;
 };
 
 /// Searches for a homomorphism from the body of `cq` into `db` that extends
 /// the partial assignment `fixed`. This is the generic (NP) evaluation
-/// procedure: backtracking over atoms. The indexed engine picks the next
-/// atom dynamically by estimated candidate count and enumerates candidates
+/// procedure: backtracking over atoms. The search picks the next atom
+/// dynamically by estimated candidate count and enumerates candidates
 /// through per-relation hash indexes on the bound positions.
 ///
 /// Returns the full assignment if one exists.
-std::optional<Assignment> FindHomomorphism(
-    const ConjunctiveQuery& cq, const Database& db,
-    const Assignment& fixed = {}, HomSearchStats* stats = nullptr,
-    const HomSearchOptions& options = {});
+std::optional<Assignment> FindHomomorphism(const ConjunctiveQuery& cq,
+                                           const Database& db,
+                                           const Assignment& fixed = {},
+                                           HomSearchStats* stats = nullptr);
 
 /// Enumerates homomorphisms, invoking `visit` for each; enumeration stops
 /// early when `visit` returns false.
 void EnumerateHomomorphisms(const ConjunctiveQuery& cq, const Database& db,
                             const Assignment& fixed,
                             const std::function<bool(const Assignment&)>& visit,
-                            HomSearchStats* stats = nullptr,
-                            const HomSearchOptions& options = {});
+                            HomSearchStats* stats = nullptr);
 
-/// Generalization used by the semi-naive Datalog join: atom i is matched
-/// against `*dbs[i]` (`atoms.size() == dbs.size()`), so a delta relation
-/// can be joined against the full database without materializing their
-/// union. The indexed engine requires all databases to share one value
-/// pool (`Database::pool()`); if they do not, the call transparently falls
-/// back to the scan engine, which is value-pool agnostic.
-void EnumerateHomomorphismsOver(
-    const std::vector<Atom>& atoms, const std::vector<const Database*>& dbs,
-    const Assignment& fixed,
-    const std::function<bool(const Assignment&)>& visit,
-    HomSearchStats* stats = nullptr, const HomSearchOptions& options = {});
-
-/// As above, with the atoms' relation ids pre-resolved by the caller
-/// (`rel_ids` parallel to `atoms`, `kNoRelation` for predicates without
-/// facts). Lets compiled queries skip the per-call name resolution; an
-/// empty `rel_ids` resolves the names through the pool as before.
-void EnumerateHomomorphismsOver(
-    const std::vector<Atom>& atoms, const std::vector<const Database*>& dbs,
-    std::span<const RelationId> rel_ids, const Assignment& fixed,
-    const std::function<bool(const Assignment&)>& visit,
-    HomSearchStats* stats = nullptr, const HomSearchOptions& options = {});
-
-/// Interned-row face of the indexed engine, for callers that consume
-/// ValueIds directly (the semi-naive join): enumerates the homomorphisms of
-/// `atoms` into `dbs` and hands each to `visit` as a var-slot → ValueId
+/// Interned-row face of the search, for callers that consume ValueIds
+/// directly (the Datalog rule firings): enumerates the homomorphisms of
+/// `atoms` into `db` and hands each to `visit` as a var-slot → ValueId
 /// vector aligned with `var_names()`, never materializing strings.
-///
-/// Only the indexed engine is wrapped: `valid()` is false when the
-/// databases do not share a value pool or `options.use_index` is off, and
-/// the caller must fall back to the string-level entry points (`Enumerate`
-/// on an invalid enumerator is a no-op). `atoms`, `dbs` and `stats` are
-/// borrowed and must outlive the enumerator; `fixed` is copied.
+/// `atoms`, `db` and `stats` are borrowed and must outlive the enumerator.
 class RowEnumerator {
  public:
   /// `rel_ids` parallel to `atoms` (empty: resolve through the pool).
-  RowEnumerator(const std::vector<Atom>& atoms,
-                const std::vector<const Database*>& dbs,
-                std::span<const RelationId> rel_ids, const Assignment& fixed,
-                HomSearchStats* stats, const HomSearchOptions& options);
+  RowEnumerator(const std::vector<Atom>& atoms, const Database& db,
+                std::span<const RelationId> rel_ids, HomSearchStats* stats);
   ~RowEnumerator();
   RowEnumerator(const RowEnumerator&) = delete;
   RowEnumerator& operator=(const RowEnumerator&) = delete;
-
-  bool valid() const;
 
   /// Variable names in slot order (deterministic first-occurrence order
   /// over the atoms as given). Available before Enumerate, so callers can
@@ -166,13 +132,11 @@ class RowEnumerator {
 /// Evaluates cq(db): the set of distinct head tuples h(x̄) over all
 /// homomorphisms h. For a Boolean query the result is {()} or {}.
 std::vector<Tuple> EvaluateCq(const ConjunctiveQuery& cq, const Database& db,
-                              HomSearchStats* stats = nullptr,
-                              const HomSearchOptions& options = {});
+                              HomSearchStats* stats = nullptr);
 
 /// Union of the disjunct evaluations, deduplicated and sorted.
 std::vector<Tuple> EvaluateUcq(const UnionQuery& ucq, const Database& db,
-                               HomSearchStats* stats = nullptr,
-                               const HomSearchOptions& options = {});
+                               HomSearchStats* stats = nullptr);
 
 }  // namespace qcont
 

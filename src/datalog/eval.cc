@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -68,47 +67,25 @@ struct FiredRule {
   DatalogEvalStats stats;
 };
 
-// Derives the head rows produced by `cr`, matching body atom i against
-// `*dbs[i]`. The databases share one value pool, so the indexed join spans
-// them (a semi-naive scan task points its delta atom at the delta
-// database). The scan engine (`use_index=false`) enumerates string
-// assignments; their values are mapped back to pool ids.
-FiredRule FireRule(const CompiledRule& cr,
-                   const std::vector<const Database*>& dbs,
-                   const HomSearchOptions& options) {
+// Derives the head rows produced by `cr` over `all`: every match of the
+// rule body, as interned head rows.
+FiredRule FireRule(const CompiledRule& cr, const Database& all) {
   const Rule& rule = *cr.rule;
   FiredRule out;
-  RowEnumerator rows(rule.body, dbs, cr.body_rels, /*fixed=*/{},
-                     &out.stats.hom, options);
-  if (rows.valid()) {
-    std::vector<int> head_slots;
-    head_slots.reserve(cr.head_arity);
-    for (const Term& v : rule.head.terms()) {
-      int slot = rows.VarSlot(v.name());
-      QCONT_CHECK_MSG(slot >= 0, "head variable not bound in rule body");
-      head_slots.push_back(slot);
-    }
-    rows.Enumerate([&](std::span<const ValueId> h) {
-      for (int slot : head_slots) out.rows.push_back(h[slot]);
-      ++out.num_rows;
-      ++out.stats.rule_firings;
-      return true;
-    });
-    return out;
+  RowEnumerator rows(rule.body, all, cr.body_rels, &out.stats.hom);
+  std::vector<int> head_slots;
+  head_slots.reserve(cr.head_arity);
+  for (const Term& v : rule.head.terms()) {
+    int slot = rows.VarSlot(v.name());
+    QCONT_CHECK_MSG(slot >= 0, "head variable not bound in rule body");
+    head_slots.push_back(slot);
   }
-  EnumerateHomomorphismsOver(
-      rule.body, dbs, cr.body_rels, /*fixed=*/{},
-      [&](const Assignment& h) {
-        // Head variables occur in the body (safety), so a head with terms
-        // has a body database to resolve them through.
-        for (const Term& v : rule.head.terms()) {
-          out.rows.push_back(dbs[0]->ValueIdOf(h.at(v.name())));
-        }
-        ++out.num_rows;
-        ++out.stats.rule_firings;
-        return true;
-      },
-      &out.stats.hom, options);
+  rows.Enumerate([&](std::span<const ValueId> h) {
+    for (int slot : head_slots) out.rows.push_back(h[slot]);
+    ++out.num_rows;
+    ++out.stats.rule_firings;
+    return true;
+  });
   return out;
 }
 
@@ -178,17 +155,13 @@ std::size_t MergeSerial(const CompiledRule& cr, const FiredRule& fired,
 // workers), block-join them in parallel against the frozen `all`, then
 // commit each head relation's concatenated candidates with one
 // shard-parallel AddRowBatch at the barrier (a propositional head's one
-// row with AddRow). The scan reference (`use_index=false`) runs in the
-// same loop: one task per join, the recursive scan engine over a delta
-// Database built from the round's buffers. The derived database (row
-// order, interning order) and all engine counters are bit-identical for
-// every thread and shard count: tasks are merged in (join, block) order,
-// which is the serial block order, and AddRowBatch commits survivors in
-// candidate order.
+// row with AddRow). The derived database (row order, interning order) and
+// all engine counters are bit-identical for every thread and shard count:
+// tasks are merged in (join, block) order, which is the serial block
+// order, and AddRowBatch commits survivors in candidate order.
 void EvaluateRounds(const DatalogProgram& program,
                     const std::vector<CompiledRule>& compiled,
-                    const EvalOptions& options,
-                    const HomSearchOptions& hom_options, RoundDelta delta,
+                    const EvalOptions& options, RoundDelta delta,
                     Database& all, std::uint64_t* round,
                     DatalogEvalStats* stats) {
   // One plan per (rule, intensional position), compiled once; joins are
@@ -224,25 +197,15 @@ void EvaluateRounds(const DatalogProgram& program,
     ObsSpan round_span(options.obs, "datalog/round", "datalog");
     round_span.AddArg("round", (*round)++);
     if (stats != nullptr) ++stats->iterations;
-    std::optional<Database> delta_db;
-    if (!options.use_index) {
-      delta_db.emplace(all.pool());
-      for (const DeltaRows& buf : delta.bufs) {
-        for (std::size_t r = 0; r < buf.count; ++r) {
-          delta_db->AddRow(buf.rel, std::span<const ValueId>(buf.rows).subspan(
-                                        r * buf.arity, buf.arity));
-        }
-      }
-    }
     tasks.clear();
     for (const DeltaJoin& join : joins) {
       const DeltaRows* buf =
           delta.Find(join.rule->body_rels[join.position]);
       if (buf == nullptr || buf->count == 0) continue;
       const std::size_t n = buf->count;
-      const std::size_t block = options.use_index ? kDeltaBlockRows : n;
-      for (std::size_t b = 0; b < n; b += block) {
-        tasks.push_back(DeltaTask{&join, buf, b, std::min(n, b + block)});
+      for (std::size_t b = 0; b < n; b += kDeltaBlockRows) {
+        tasks.push_back(
+            DeltaTask{&join, buf, b, std::min(n, b + kDeltaBlockRows)});
       }
     }
     round_span.AddArg("tasks", tasks.size());
@@ -251,12 +214,6 @@ void EvaluateRounds(const DatalogProgram& program,
           ObsSpan join_span(options.obs, "datalog/delta_join", "datalog");
           join_span.AddArg("task", t);
           const DeltaTask& task = tasks[t];
-          const CompiledRule& cr = *task.join->rule;
-          if (delta_db.has_value()) {
-            std::vector<const Database*> dbs(cr.rule->body.size(), &all);
-            dbs[task.join->position] = &*delta_db;
-            return FireRule(cr, dbs, hom_options);
-          }
           FiredRule out;
           const std::uint32_t arity = task.buf->arity;
           task.join->plan.Execute(
@@ -343,8 +300,6 @@ Result<Database> EvaluateProgramImpl(const DatalogProgram& program,
     all.Reshard(std::min(options.shards, kMaxShards));
   }
   const std::vector<CompiledRule> compiled = CompileRules(program, all);
-  HomSearchOptions hom_options;
-  hom_options.use_index = options.use_index;
   std::uint64_t round = 0;
 
   if (options.strategy == EvalStrategy::kNaive) {
@@ -358,9 +313,7 @@ Result<Database> EvaluateProgramImpl(const DatalogProgram& program,
       round_span.AddArg("round", round++);
       if (stats != nullptr) ++stats->iterations;
       for (const CompiledRule& cr : compiled) {
-        const FiredRule fired = FireRule(
-            cr, std::vector<const Database*>(cr.rule->body.size(), &all),
-            hom_options);
+        const FiredRule fired = FireRule(cr, all);
         const std::size_t got = MergeSerial(cr, fired, all, nullptr);
         changed = changed || got > 0;
         if (stats != nullptr) {
@@ -382,9 +335,7 @@ Result<Database> EvaluateProgramImpl(const DatalogProgram& program,
     round_span.AddArg("round", round++);
     if (stats != nullptr) ++stats->iterations;
     for (const CompiledRule& cr : compiled) {
-      const FiredRule fired = FireRule(
-          cr, std::vector<const Database*>(cr.rule->body.size(), &all),
-          hom_options);
+      const FiredRule fired = FireRule(cr, all);
       const std::size_t got = MergeSerial(
           cr, fired, all, &delta.For(cr.head_rel, cr.head_arity));
       if (stats != nullptr) {
@@ -394,8 +345,8 @@ Result<Database> EvaluateProgramImpl(const DatalogProgram& program,
     }
     round_span.AddArg("delta_facts", delta.Total());
   }
-  EvaluateRounds(program, compiled, options, hom_options, std::move(delta),
-                 all, &round, stats);
+  EvaluateRounds(program, compiled, options, std::move(delta), all, &round,
+                 stats);
   return all;
 }
 
@@ -441,14 +392,6 @@ Result<Database> EvaluateProgram(const DatalogProgram& program,
   }
   if (stats != nullptr) stats->Merge(run);
   return result;
-}
-
-Result<Database> EvaluateProgram(const DatalogProgram& program,
-                                 const Database& edb, EvalStrategy strategy,
-                                 DatalogEvalStats* stats) {
-  EvalOptions options;
-  options.strategy = strategy;
-  return EvaluateProgram(program, edb, options, stats);
 }
 
 Result<std::vector<Tuple>> EvaluateGoal(const DatalogProgram& program,
@@ -503,15 +446,6 @@ Result<std::vector<Tuple>> EvaluateGoal(const DatalogProgram& program,
   return out;
 }
 
-Result<std::vector<Tuple>> EvaluateGoal(const DatalogProgram& program,
-                                        const Database& edb,
-                                        EvalStrategy strategy,
-                                        DatalogEvalStats* stats) {
-  EvalOptions options;
-  options.strategy = strategy;
-  return EvaluateGoal(program, edb, options, stats);
-}
-
 Result<bool> UcqContainedInDatalog(const UnionQuery& theta,
                                    const DatalogProgram& program,
                                    const EvalOptions& options,
@@ -530,12 +464,6 @@ Result<bool> UcqContainedInDatalog(const UnionQuery& theta,
     }
   }
   return true;
-}
-
-Result<bool> UcqContainedInDatalog(const UnionQuery& theta,
-                                   const DatalogProgram& program,
-                                   DatalogEvalStats* stats) {
-  return UcqContainedInDatalog(theta, program, EvalOptions(), stats);
 }
 
 }  // namespace qcont

@@ -64,12 +64,10 @@ enum class EvalStrategy {
 /// rows, run against the frozen database. Task outputs are merged in task
 /// order at the round barrier, so the derived database (including fact
 /// insertion order) and all counters are bit-identical for every
-/// `exec.threads`. `use_index=false` selects the pre-index scan join engine
-/// instead, inside the same round loop (differential-testing reference).
-/// The naive strategy is the other reference and always serial.
+/// `exec.threads`. The naive strategy is the reference and always serial;
+/// the scan-join reference lives in tests/hom_oracle.h.
 struct EvalOptions {
   EvalStrategy strategy = EvalStrategy::kSemiNaive;
-  bool use_index = true;
   ExecContext exec;
   /// Hash-shard count P of the working database (base/shard.h, DESIGN.md
   /// §17). The EDB copy is resharded to P before round 0, so the
@@ -99,21 +97,15 @@ struct EvalOptions {
 /// atoms against the full database through the shared per-relation hash
 /// indexes, which are maintained incrementally across rounds.
 Result<Database> EvaluateProgram(const DatalogProgram& program,
-                                 const Database& edb, const EvalOptions& options,
-                                 DatalogEvalStats* stats = nullptr);
-Result<Database> EvaluateProgram(const DatalogProgram& program,
                                  const Database& edb,
-                                 EvalStrategy strategy = EvalStrategy::kSemiNaive,
+                                 const EvalOptions& options = {},
                                  DatalogEvalStats* stats = nullptr);
 
 /// Π(D): the goal-predicate tuples derived over `edb`, sorted.
-Result<std::vector<Tuple>> EvaluateGoal(
-    const DatalogProgram& program, const Database& edb,
-    const EvalOptions& options, DatalogEvalStats* stats = nullptr);
-Result<std::vector<Tuple>> EvaluateGoal(
-    const DatalogProgram& program, const Database& edb,
-    EvalStrategy strategy = EvalStrategy::kSemiNaive,
-    DatalogEvalStats* stats = nullptr);
+Result<std::vector<Tuple>> EvaluateGoal(const DatalogProgram& program,
+                                        const Database& edb,
+                                        const EvalOptions& options = {},
+                                        DatalogEvalStats* stats = nullptr);
 
 /// Containment of a UCQ in a Datalog program (Cosmadakis-Kanellakis [16],
 /// used by the paper for Corollary 2): Θ ⊆ Π iff for every disjunct θ the
@@ -123,10 +115,7 @@ Result<std::vector<Tuple>> EvaluateGoal(
 /// fixpoint's delta rounds).
 Result<bool> UcqContainedInDatalog(const UnionQuery& theta,
                                    const DatalogProgram& program,
-                                   const EvalOptions& options,
-                                   DatalogEvalStats* stats = nullptr);
-Result<bool> UcqContainedInDatalog(const UnionQuery& theta,
-                                   const DatalogProgram& program,
+                                   const EvalOptions& options = {},
                                    DatalogEvalStats* stats = nullptr);
 
 }  // namespace qcont

@@ -88,7 +88,9 @@ TEST(EvalTest, RejectsIntensionalPredicateStoredAtAnotherArity) {
   db.AddFact("f", {"a", "b"});
   for (const EvalStrategy strategy :
        {EvalStrategy::kSemiNaive, EvalStrategy::kNaive}) {
-    auto result = EvaluateGoal(*program, db, strategy);
+    EvalOptions options;
+    options.strategy = strategy;
+    auto result = EvaluateGoal(*program, db, options);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(result.status().message().find("'g' has arity 1 in the program "
@@ -103,7 +105,7 @@ TEST(EvalTest, StatsAreReported) {
   db.AddFact("e", {"1", "2"});
   db.AddFact("e", {"2", "3"});
   DatalogEvalStats stats;
-  auto result = EvaluateGoal(Tc(), db, EvalStrategy::kSemiNaive, &stats);
+  auto result = EvaluateGoal(Tc(), db, {}, &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(stats.iterations, 1u);
   EXPECT_GT(stats.derived_facts, 0u);
@@ -118,8 +120,10 @@ TEST(EvalProperty, SemiNaiveEqualsNaive) {
         testgen::RandomLinearProgram(&rng, schema, 1 + rng() % 2);
     if (!program.Validate().ok()) continue;
     Database db = testgen::RandomDatabase(&rng, schema, 3, 8);
-    auto naive = EvaluateGoal(program, db, EvalStrategy::kNaive);
-    auto semi = EvaluateGoal(program, db, EvalStrategy::kSemiNaive);
+    EvalOptions naive_options;
+    naive_options.strategy = EvalStrategy::kNaive;
+    auto naive = EvaluateGoal(program, db, naive_options);
+    auto semi = EvaluateGoal(program, db);
     ASSERT_TRUE(naive.ok() && semi.ok());
     EXPECT_EQ(*naive, *semi) << program.ToString();
   }

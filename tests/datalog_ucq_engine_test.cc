@@ -123,7 +123,7 @@ TEST(GeneralEngineTest, ResourceLimitsReported) {
       "t(x,y) :- e(x,y). t(x,y) :- t(x,z), t(z,y). goal t.");
   auto ucq = ParseUcq("Q(x,y) :- e(x,y), e(y,z), e(z,w).");
   ASSERT_TRUE(program.ok() && ucq.ok());
-  TypeEngineLimits limits;
+  TypeEngineOptions limits;
   limits.max_types = 1;
   auto answer = DatalogContainedInUcq(*program, *ucq, nullptr, limits);
   EXPECT_FALSE(answer.ok());

@@ -1,7 +1,8 @@
-// Differential tests for the indexed join substrate: the indexed engine
-// (dynamic atom order, per-relation hash indexes) must agree with the
-// pre-index scan engine (static greedy order, full relation scans) on
-// randomized instances, and must never enumerate more candidate tuples.
+// Differential tests for the indexed join substrate: the indexed search
+// (dynamic atom order, per-relation hash indexes) must agree with the scan
+// reference of tests/hom_oracle.h (static greedy order, full relation
+// scans) on randomized instances, and must never enumerate more candidate
+// tuples.
 
 #include <algorithm>
 #include <random>
@@ -19,12 +20,10 @@
 #include "structure/acyclic_eval.h"
 #include "tests/db_oracle.h"
 #include "tests/generators.h"
+#include "tests/hom_oracle.h"
 
 namespace qcont {
 namespace {
-
-constexpr HomSearchOptions kIndexed{.use_index = true, .exec = {}};
-constexpr HomSearchOptions kScan{.use_index = false, .exec = {}};
 
 std::vector<Tuple> Sorted(std::vector<Tuple> tuples) {
   std::sort(tuples.begin(), tuples.end());
@@ -43,8 +42,8 @@ TEST(IndexDifferentialTest, FindHomomorphismAgreesOnRandomInstances) {
     Database db = testgen::RandomDatabase(&rng, schema, 4, 12);
     ConjunctiveQuery cq = testgen::RandomCq(&rng, schema, 4, 4, 1);
     HomSearchStats indexed_stats, scan_stats;
-    auto indexed = FindHomomorphism(cq, db, {}, &indexed_stats, kIndexed);
-    auto scan = FindHomomorphism(cq, db, {}, &scan_stats, kScan);
+    auto indexed = FindHomomorphism(cq, db, {}, &indexed_stats);
+    auto scan = oracle::FindHomomorphism(cq, db, {}, &scan_stats);
     EXPECT_EQ(indexed.has_value(), scan.has_value()) << "trial " << trial;
     if (indexed.has_value()) {
       // The witnesses may differ (different search orders), but both must
@@ -67,9 +66,9 @@ TEST(IndexDifferentialTest, EvaluateCqAgreesOnRandomInstances) {
     Database db = testgen::RandomDatabase(&rng, schema, 5, 16);
     ConjunctiveQuery cq = testgen::RandomCq(&rng, schema, 3, 4, 2);
     HomSearchStats indexed_stats, scan_stats;
-    std::vector<Tuple> indexed =
-        Sorted(EvaluateCq(cq, db, &indexed_stats, kIndexed));
-    std::vector<Tuple> scan = Sorted(EvaluateCq(cq, db, &scan_stats, kScan));
+    std::vector<Tuple> indexed = Sorted(EvaluateCq(cq, db, &indexed_stats));
+    std::vector<Tuple> scan =
+        Sorted(oracle::EvaluateCq(cq, db, &scan_stats));
     EXPECT_EQ(indexed, scan) << "trial " << trial;
     // The indexed engine only ever shrinks the candidate stream: a probe
     // returns a subset of the rows a full scan would have walked.
@@ -85,8 +84,8 @@ TEST(IndexDifferentialTest, EvaluateUcqAgreesOnRandomInstances) {
     Database db = testgen::RandomDatabase(&rng, schema, 4, 14);
     UnionQuery ucq = testgen::RandomAcyclicUcq(&rng, schema, 3, 3, 1);
     HomSearchStats indexed_stats, scan_stats;
-    EXPECT_EQ(EvaluateUcq(ucq, db, &indexed_stats, kIndexed),
-              EvaluateUcq(ucq, db, &scan_stats, kScan))
+    EXPECT_EQ(EvaluateUcq(ucq, db, &indexed_stats),
+              oracle::EvaluateUcq(ucq, db, &scan_stats))
         << "trial " << trial;
     EXPECT_LE(Candidates(indexed_stats), Candidates(scan_stats))
         << "trial " << trial;
@@ -108,8 +107,8 @@ TEST(IndexDifferentialTest, FixedAssignmentsAgree) {
         fixed[t.name()] = db.ActiveDomain()[rng() % db.ActiveDomain().size()];
       }
     }
-    auto indexed = FindHomomorphism(cq, db, fixed, nullptr, kIndexed);
-    auto scan = FindHomomorphism(cq, db, fixed, nullptr, kScan);
+    auto indexed = FindHomomorphism(cq, db, fixed);
+    auto scan = oracle::FindHomomorphism(cq, db, fixed);
     EXPECT_EQ(indexed.has_value(), scan.has_value()) << "trial " << trial;
   }
 }
@@ -123,14 +122,13 @@ TEST(IndexDifferentialTest, DatalogFixpointAgreesAcrossEnginesAndStrategies) {
     std::vector<std::vector<Tuple>> goals;
     for (EvalStrategy strategy :
          {EvalStrategy::kNaive, EvalStrategy::kSemiNaive}) {
-      for (bool use_index : {false, true}) {
-        EvalOptions options;
-        options.strategy = strategy;
-        options.use_index = use_index;
-        auto goal = EvaluateGoal(program, edb, options);
-        ASSERT_TRUE(goal.ok()) << "trial " << trial;
-        goals.push_back(*goal);
-      }
+      auto scan = oracle::EvaluateGoal(program, edb, strategy);
+      EvalOptions options;
+      options.strategy = strategy;
+      auto indexed = EvaluateGoal(program, edb, options);
+      ASSERT_TRUE(scan.ok() && indexed.ok()) << "trial " << trial;
+      goals.push_back(*scan);
+      goals.push_back(*indexed);
     }
     for (std::size_t i = 1; i < goals.size(); ++i) {
       EXPECT_EQ(goals[0], goals[i]) << "trial " << trial << " engine " << i;
@@ -145,19 +143,17 @@ TEST(IndexDifferentialTest, SemiNaiveIndexedNeverScansMoreThanScanEngine) {
     Database edb = testgen::RandomDatabase(&rng, schema, 5, 12);
     DatalogProgram program = testgen::RandomLinearProgram(&rng, schema, 1);
     DatalogEvalStats indexed_stats, scan_stats;
-    EvalOptions indexed_options, scan_options;
-    indexed_options.use_index = true;
-    scan_options.use_index = false;
-    // The candidate-count invariant targets the recursive indexed engine
+    // The candidate-count invariant targets the recursive indexed search
     // (a probe returns a subset of a scan), which the naive strategy runs
     // for every firing. Semi-naive delta rounds use the block-at-a-time
     // engine, which fixes its atom order statically and may trade extra
     // candidates for batched probes; its differential coverage lives in
     // probe_kernel_test.cc.
-    indexed_options.strategy = EvalStrategy::kNaive;
-    scan_options.strategy = EvalStrategy::kNaive;
-    auto indexed = EvaluateGoal(program, edb, indexed_options, &indexed_stats);
-    auto scan = EvaluateGoal(program, edb, scan_options, &scan_stats);
+    EvalOptions naive;
+    naive.strategy = EvalStrategy::kNaive;
+    auto indexed = EvaluateGoal(program, edb, naive, &indexed_stats);
+    auto scan = oracle::EvaluateGoal(program, edb, EvalStrategy::kNaive,
+                                     &scan_stats);
     ASSERT_TRUE(indexed.ok() && scan.ok()) << "trial " << trial;
     EXPECT_EQ(*indexed, *scan) << "trial " << trial;
     EXPECT_LE(Candidates(indexed_stats.hom), Candidates(scan_stats.hom))
@@ -199,12 +195,11 @@ TEST(LayoutDifferentialTest, HomSearchAgreesWithIdenticalStats) {
     const std::vector<Database> dbs =
         ShardCopies(testgen::RandomDatabase(&rng, schema, 5, 24));
     ConjunctiveQuery cq = testgen::RandomCq(&rng, schema, 4, 4, 2);
-    const std::vector<Tuple> want =
-        Sorted(EvaluateCq(cq, dbs[0], nullptr, kScan));
+    const std::vector<Tuple> want = Sorted(oracle::EvaluateCq(cq, dbs[0]));
     HomSearchStats base_stats;
     for (std::size_t i = 0; i < dbs.size(); ++i) {
       HomSearchStats s;
-      EXPECT_EQ(Sorted(EvaluateCq(cq, dbs[i], &s, kIndexed)), want)
+      EXPECT_EQ(Sorted(EvaluateCq(cq, dbs[i], &s)), want)
           << "trial " << trial << " layout " << i;
       if (i == 0) {
         base_stats = s;
@@ -251,9 +246,8 @@ TEST(LayoutDifferentialTest, YannakakisAgreesWithIdenticalStats) {
     const std::vector<Database> dbs =
         ShardCopies(testgen::RandomDatabase(&rng, schema, 5, 20));
     ConjunctiveQuery cq = testgen::RandomAcyclicCq(&rng, schema, 4, 1);
-    // Reference answers from the scan-based homomorphism engine.
-    const std::vector<Tuple> want =
-        Sorted(EvaluateCq(cq, dbs[0], nullptr, kScan));
+    // Reference answers from the scan-based homomorphism search.
+    const std::vector<Tuple> want = Sorted(oracle::EvaluateCq(cq, dbs[0]));
     YannakakisStats base_sat, base_eval;
     for (std::size_t i = 0; i < dbs.size(); ++i) {
       YannakakisStats sat_stats, eval_stats;

@@ -1,8 +1,8 @@
 // Tests for the parallel execution substrate (base/thread_pool.h) and the
 // determinism contract of the parallel engines: answers, derived databases,
 // and machine-independent counters must be identical for every thread
-// count, and must agree with the scan-engine reference. This binary is
-// also the main target of the TSAN CI job.
+// count, and must agree with the scan reference (tests/hom_oracle.h).
+// This binary is also the main target of the TSAN CI job.
 
 #include <atomic>
 #include <random>
@@ -21,6 +21,7 @@
 #include "datalog/eval.h"
 #include "obs/obs.h"
 #include "tests/generators.h"
+#include "tests/hom_oracle.h"
 
 namespace qcont {
 namespace {
@@ -195,12 +196,9 @@ TEST(ParallelDeterminismTest, UcqContainmentIsThreadCountInvariant) {
                        "trial " + std::to_string(trial) + " threads " +
                            std::to_string(threads));
     }
-    // Scan-engine cross-check: same answer with indexes disabled and the
-    // parallel grid active (counters legitimately differ between engines).
-    HomSearchOptions scan;
-    scan.use_index = false;
-    scan.exec.threads = 8;
-    auto scan_answer = UcqContained(theta, theta_prime, nullptr, scan);
+    // Scan-reference cross-check (tests/hom_oracle.h): same answer
+    // (counters legitimately differ between engines).
+    auto scan_answer = oracle::UcqContained(theta, theta_prime);
     ASSERT_TRUE(scan_answer.ok()) << "trial " << trial;
     EXPECT_EQ(*scan_answer, *serial) << "trial " << trial;
   }
@@ -267,14 +265,12 @@ TEST(ParallelDeterminismTest, SemiNaiveEvalIsBitIdenticalAcrossThreadCounts) {
     }
 
     // Semantic cross-checks: the naive reference strategy and the scan
-    // engine agree on the goal answers under parallel evaluation.
+    // reference (tests/hom_oracle.h) agree with the goal answers of
+    // parallel evaluation.
     EvalOptions naive_options;
     naive_options.strategy = EvalStrategy::kNaive;
     auto naive = EvaluateGoal(program, edb, naive_options);
-    EvalOptions parallel_scan;
-    parallel_scan.use_index = false;
-    parallel_scan.exec.threads = 8;
-    auto scan = EvaluateGoal(program, edb, parallel_scan);
+    auto scan = oracle::EvaluateGoal(program, edb);
     EvalOptions parallel_indexed;
     parallel_indexed.exec.threads = 8;
     auto indexed = EvaluateGoal(program, edb, parallel_indexed);
@@ -364,7 +360,7 @@ TEST(ParallelDeterminismTest, UcqInDatalogContainmentThreadCountInvariant) {
     UnionQuery ucq = testgen::RandomAcyclicUcq(&rng, schema, 2, 2, 1);
     if (!ucq.Validate().ok()) continue;
     DatalogEvalStats serial_stats;
-    auto serial = UcqContainedInDatalog(ucq, program, &serial_stats);
+    auto serial = UcqContainedInDatalog(ucq, program, {}, &serial_stats);
     ASSERT_TRUE(serial.ok()) << "trial " << trial;
     for (int threads : kThreadCounts) {
       EvalOptions options;

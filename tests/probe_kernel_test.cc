@@ -3,7 +3,8 @@
 // the scalar SWAR reference, probes must agree with an independent
 // std::set oracle (tests/db_oracle.h), the probes counter must bump once
 // per key, and the block-at-a-time delta join must derive exactly what the
-// recursive engine derives — with thread-count-invariant counters.
+// scan reference (tests/hom_oracle.h) derives — with thread-count-invariant
+// counters.
 
 #include <algorithm>
 #include <cstdint>
@@ -26,6 +27,7 @@
 #include "parser/parser.h"
 #include "tests/db_oracle.h"
 #include "tests/generators.h"
+#include "tests/hom_oracle.h"
 
 namespace qcont {
 namespace {
@@ -185,11 +187,10 @@ TEST(BlockJoinTest, MatchesRecursiveEngineOnRandomPrograms) {
   for (int trial = 0; trial < 25; ++trial) {
     Database edb = testgen::RandomDatabase(&rng, schema, 4, 14);
     DatalogProgram program = testgen::RandomLinearProgram(&rng, schema, 2);
-    EvalOptions block, scan;
-    scan.use_index = false;
     DatalogEvalStats bs, ss;
-    auto block_goal = EvaluateGoal(program, edb, block, &bs);
-    auto scan_goal = EvaluateGoal(program, edb, scan, &ss);
+    auto block_goal = EvaluateGoal(program, edb, {}, &bs);
+    auto scan_goal =
+        oracle::EvaluateGoal(program, edb, EvalStrategy::kSemiNaive, &ss);
     ASSERT_TRUE(block_goal.ok() && scan_goal.ok()) << "trial " << trial;
     EXPECT_EQ(*block_goal, *scan_goal) << "trial " << trial;
     // Same homomorphism multiset, same rounds: both engines fire each body
@@ -356,12 +357,12 @@ TEST(BlockJoinTest, WideAndPropositionalShapesMatchReferences) {
     for (int seed = 0; seed < 6; ++seed) {
       const std::string at = Cat({c.name, " seed ", std::to_string(seed)});
       Database edb = testgen::RandomDatabase(&rng, c.schema, c.domain, c.facts);
-      EvalOptions naive, scan;
-      naive.strategy = EvalStrategy::kNaive;
-      scan.use_index = false;
       DatalogEvalStats ss;
+      EvalOptions naive;
+      naive.strategy = EvalStrategy::kNaive;
       auto want = EvaluateGoal(*program, edb, naive);
-      auto scan_goal = EvaluateGoal(*program, edb, scan, &ss);
+      auto scan_goal =
+          oracle::EvaluateGoal(*program, edb, EvalStrategy::kSemiNaive, &ss);
       ASSERT_TRUE(want.ok() && scan_goal.ok()) << at;
       EXPECT_EQ(*scan_goal, *want) << at;
       derived_any = derived_any || !want->empty();
