@@ -108,42 +108,35 @@ BENCHMARK(BM_TcChain)->Apply(TcChainArgs);
 
 // Multicore scaling rows (EXPERIMENTS.md §E9 scaling study): transitive
 // closure over a wide random graph — n nodes, 4n edges — whose delta
-// rounds carry thousands of rows, so both parallel stages of a round have
-// real fan-out: the block-split delta joins (one task per 1024 delta
-// rows) and the shard-parallel round-barrier merge
-// (Database::AddRowBatch, one claim task per shard). The (threads,
-// shards) grid is pruned to thread counts this machine can schedule;
-// check_bench_regression.py gates the threads=8/threads=1 ratio whenever
-// a capture has both rows (--min-ratio ... --allow-missing) and bounds
+// rounds carry thousands of rows, so the block-split delta joins (one
+// task per 1024 delta rows) have real fan-out, while the round-barrier
+// merge (Database::AddRowBatch) stays serial. The thread axis is pruned
+// to counts this machine can schedule; check_bench_regression.py bounds
 // the serial merge fraction via the merge_serial_pct counter.
 void BM_TcWide(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
-  const int shards = static_cast<int>(state.range(2));
   std::mt19937 rng(11);
   DatalogProgram tc = bench::TcProgram();
   Database db = bench::RandomEdgeDatabase(&rng, n, 4 * n);
   EvalOptions options;
   options.exec.threads = threads;
-  options.shards = shards;
   DatalogEvalStats stats;
   std::size_t derived = 0;
   for (auto _ : state) {
     stats = DatalogEvalStats();
     derived = EvaluateGoal(tc, db, options, &stats)->size();
   }
-  // Identical across every (threads, shards) cell — determinism contract.
+  // Identical across every thread count — determinism contract.
   state.counters["derived"] = static_cast<double>(derived);
   state.counters["rule_firings"] = static_cast<double>(stats.rule_firings);
   state.counters["iterations"] = static_cast<double>(stats.iterations);
   state.counters["threads"] = threads;
-  state.counters["shards"] = shards;
   // One instrumented pass outside the timed loop: wall time per phase from
-  // the span totals. merge_serial_pct prices the round-barrier merge
-  // against the whole fixpoint — the Amdahl serial fraction when
-  // threads=1/shards=1, and the number EXPERIMENTS.md's speedup model
-  // feeds on. It is a ratio of two same-machine wall times, so it is
-  // comparable across capture machines and gated in CI.
+  // the span totals. merge_serial_pct prices the serial round-barrier
+  // merge against the whole fixpoint. It is a ratio of two same-machine
+  // wall times, so it is comparable across capture machines and gated in
+  // CI.
   {
     TraceSession trace;
     ObsContext obs{nullptr, &trace};
@@ -153,21 +146,18 @@ void BM_TcWide(benchmark::State& state) {
     auto totals = trace.DurationTotalsUs();
     state.counters["t_eval_us"] = totals["datalog/eval"];
     state.counters["t_joins_us"] = totals["datalog/delta_join"];
-    state.counters["t_merge_us"] = totals["datalog/shard_merge"];
+    state.counters["t_merge_us"] = totals["datalog/merge"];
     state.counters["merge_serial_pct"] =
-        100.0 * totals["datalog/shard_merge"] /
+        100.0 * totals["datalog/merge"] /
         std::max(totals["datalog/eval"], 1e-6);
     bench::MaybeWriteTrace(trace, bench::Numbered("e9_tcwide_n", n) + "_t" +
-                                      std::to_string(threads) + "_p" +
-                                      std::to_string(shards));
+                                      std::to_string(threads));
   }
   state.SetLabel("semi_naive");
 }
 void TcWideArgs(benchmark::internal::Benchmark* b) {
   for (const int threads : bench::BenchThreadGrid()) {
-    for (const int shards : bench::BenchShardGrid()) {
-      b->Args({256, threads, shards});
-    }
+    b->Args({256, threads});
   }
 }
 BENCHMARK(BM_TcWide)->Apply(TcWideArgs);

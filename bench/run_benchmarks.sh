@@ -12,9 +12,6 @@
 #   --threads N    worker count for the parallel benchmark rows, exported as
 #                  QCONT_BENCH_THREADS (default: the binaries fall back to
 #                  the hardware concurrency, floored at 2)
-#   --shards LIST  comma-separated shard counts for the sharded-storage
-#                  scaling rows (BM_TcWide), exported as QCONT_BENCH_SHARDS
-#                  (default: the binaries use 1,4,16)
 #   --trace        also write TRACE_<workload>.json Chrome trace files for
 #                  the instrumented benchmark passes into OUT_DIR (exported
 #                  as QCONT_BENCH_TRACE_DIR; validate/inspect with
@@ -42,15 +39,6 @@ while [[ $# -gt 0 ]]; do
       ;;
     --threads=*)
       export QCONT_BENCH_THREADS="${1#*=}"
-      shift
-      ;;
-    --shards)
-      [[ $# -ge 2 ]] || { echo "ERROR: --shards needs a value" >&2; exit 2; }
-      export QCONT_BENCH_SHARDS="$2"
-      shift 2
-      ;;
-    --shards=*)
-      export QCONT_BENCH_SHARDS="${1#*=}"
       shift
       ;;
     --trace)

@@ -54,27 +54,6 @@ inline std::vector<int> BenchThreadGrid() {
   return grid;
 }
 
-/// Shard axis of the scaling rows: QCONT_BENCH_SHARDS as a comma-separated
-/// list (see run_benchmarks.sh --shards), otherwise {1, 4, 16} — unsharded
-/// baseline, one shard per typical worker, and oversharded.
-inline std::vector<int> BenchShardGrid() {
-  if (const char* env = std::getenv("QCONT_BENCH_SHARDS")) {
-    std::vector<int> grid;
-    int v = 0;
-    for (const char* p = env;; ++p) {
-      if (*p >= '0' && *p <= '9') {
-        v = v * 10 + (*p - '0');
-      } else {
-        if (v > 0) grid.push_back(v);
-        v = 0;
-        if (*p == '\0') break;
-      }
-    }
-    if (!grid.empty()) return grid;
-  }
-  return {1, 4, 16};
-}
-
 /// Per-call wall time of `fn` in microseconds, averaged over `calls`
 /// invocations. Used by the instrumented (untimed) passes to price the
 /// analysis layer against the engine work.

@@ -86,10 +86,9 @@ const ConjunctiveQuery& RenamedApart(
 
 // Chandra-Merlin check of theta_prime against the prebuilt canonical
 // database / frozen head of theta (all inputs already validated).
-Result<bool> ContainedInDisjunct(const ConjunctiveQuery& theta_prime,
-                                 const Database& canonical,
-                                 const Tuple& frozen_head,
-                                 HomSearchStats* stats) {
+bool ContainedInDisjunct(const ConjunctiveQuery& theta_prime,
+                         const Database& canonical, const Tuple& frozen_head,
+                         HomSearchStats* stats) {
   Assignment fixed;
   for (std::size_t i = 0; i < theta_prime.head().size(); ++i) {
     const std::string& var = theta_prime.head()[i].name();
@@ -121,10 +120,9 @@ Result<bool> CqInUcqPrevalidated(const ConjunctiveQuery& theta,
                                   std::to_string(theta.arity()) + " and " +
                                   std::to_string(disjunct.arity()));
     }
-    QCONT_ASSIGN_OR_RETURN(
-        bool contained,
-        ContainedInDisjunct(disjunct, canonical, frozen_head, stats));
-    if (contained) return true;
+    if (ContainedInDisjunct(disjunct, canonical, frozen_head, stats)) {
+      return true;
+    }
   }
   return false;
 }
@@ -219,12 +217,8 @@ Result<bool> GridContained(const ConjunctiveQuery* lefts, std::size_t nl,
       out.arity_error = true;
       AtomicMin(&first_err[i], j);
     } else {
-      Result<bool> pair =
+      out.contained =
           ContainedInDisjunct(rights[j], canonical[i], heads[i], &out.stats);
-      // ContainedInDisjunct only fails on the arity precondition, which is
-      // checked above; keep the invariant explicit.
-      QCONT_CHECK(pair.ok());
-      out.contained = *pair;
       if (out.contained) AtomicMin(&first_hit[i], j);
     }
     if (completed[i].fetch_add(1, std::memory_order_acq_rel) + 1 == nr) {
@@ -328,8 +322,8 @@ Result<bool> CqContained(const ConjunctiveQuery& theta,
                                stats);
   }
   HomSearchStats run;
-  Result<bool> result = ContainedInDisjunct(
-      theta_prime, canonical, CanonicalHead(frozen), &run);
+  const bool result = ContainedInDisjunct(theta_prime, canonical,
+                                          CanonicalHead(frozen), &run);
   run.PublishTo(metrics, "cq.contain.hom");
   if (stats != nullptr) stats->Merge(run);
   return result;

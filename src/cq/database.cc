@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "base/check.h"
-#include "base/shard.h"
 #include "base/simd.h"
 #include "base/thread_pool.h"
 #include "obs/obs.h"
@@ -23,7 +22,7 @@ namespace {
 // Tag probe-group width in slots: one SSE2/NEON 16-byte compare per group.
 constexpr std::uint32_t kGroupWidth = 16;
 // Probe-table growth threshold: grow once occupied slots would exceed this
-// percentage of capacity. With shards, the bound applies per shard table.
+// percentage of capacity.
 constexpr std::size_t kMaxLoadPercent = 75;
 // ProbeMany lookahead: while key i resolves, the tag group and home slot
 // of key i + kPrefetchDistance are software-prefetched.
@@ -89,6 +88,35 @@ inline std::uint64_t PackedKey(std::uint32_t width,
   if (width == 0) return 1;  // the single possible (empty) key
   return 0;
 }
+
+// Debug-build validator for the freeze contract of the concurrency model
+// (ARCHITECTURE.md): a database handed to a parallel region is *frozen* —
+// concurrent probes are lock-free precisely because no mutation runs
+// until the barrier. Mutating entry points bump a relaxed epoch counter;
+// a guard constructed at the top of a lock-free read path re-checks the
+// epoch on destruction and aborts if a mutation raced the read. Compiled
+// out entirely in NDEBUG builds (the sanitizer CI legs build Debug, so
+// the contract stays exercised without taxing release probes).
+class EpochReadGuard {
+ public:
+#ifndef NDEBUG
+  explicit EpochReadGuard(const std::atomic<std::uint64_t>& epoch)
+      : epoch_(&epoch), seen_(epoch.load(std::memory_order_relaxed)) {}
+  ~EpochReadGuard() {
+    QCONT_CHECK_MSG(epoch_->load(std::memory_order_relaxed) == seen_,
+                    "database mutated during a lock-free read "
+                    "(freeze-during-parallel-region contract violated)");
+  }
+
+ private:
+  const std::atomic<std::uint64_t>* epoch_;
+  std::uint64_t seen_;
+#else
+  explicit EpochReadGuard(const std::atomic<std::uint64_t>&) {}
+#endif
+  EpochReadGuard(const EpochReadGuard&) = delete;
+  EpochReadGuard& operator=(const EpochReadGuard&) = delete;
+};
 
 }  // namespace
 
@@ -194,9 +222,7 @@ void Database::FlushProbeCounters(const LocalProbeCounters& c) const {
 // Grows `idx` so that `keys` occupied slots stay at or under the
 // kMaxLoadPercent load factor.
 // Growing rehashes the slots and rebuilds the tag array and Bloom filter —
-// the postings arena and wide-key storage are untouched. Safe to call
-// concurrently on *distinct* indexes (the shard-parallel AddRowBatch path):
-// it touches only `idx` and the caller's counter stripe.
+// the postings arena and wide-key storage are untouched.
 void Database::EnsureFlatCapacity(FlatIndex* idx, std::size_t keys) const {
   const std::size_t cap = idx->slots.size();
   if (cap != 0 && keys * 100 <= cap * kMaxLoadPercent) return;
@@ -264,7 +290,7 @@ void Database::ClaimSlot(FlatIndex* idx, std::size_t i,
 }
 
 // ClaimSlot for a primary (full-row) table: the slot's bucket is a fresh
-// one-entry postings slice holding global row `row`.
+// one-entry postings slice holding row `row`.
 void Database::ClaimPrimarySlot(FlatIndex* idx, std::size_t i,
                                 std::span<const ValueId> key,
                                 std::uint64_t packed, std::uint64_t h,
@@ -294,10 +320,11 @@ std::size_t Database::DedupSlot(const FlatIndex& idx,
   return idx.slots[i].key != 0 ? kDuplicateRow : i;
 }
 
-std::span<const std::uint32_t> Database::LookupFlatHashed(
-    const FlatIndex& idx, std::span<const ValueId> key, std::uint64_t packed,
-    std::uint64_t h) const {
+std::span<const std::uint32_t> Database::LookupFlat(
+    const FlatIndex& idx, std::span<const ValueId> key) const {
   if (idx.slots.empty()) return {};
+  const std::uint64_t packed = PackedKey(idx.key_width, key);
+  const std::uint64_t h = HashKey(idx, key, packed);
   if (!BloomMayContain(idx.bloom, h)) {
     stats_stripe().filter_skips.fetch_add(1, std::memory_order_relaxed);
     return {};
@@ -310,21 +337,12 @@ std::span<const std::uint32_t> Database::LookupFlatHashed(
   return {idx.postings.data() + s.start, s.len};
 }
 
-std::span<const std::uint32_t> Database::LookupFlat(
-    const FlatIndex& idx, std::span<const ValueId> key) const {
-  if (idx.slots.empty()) return {};
-  const std::uint64_t packed = PackedKey(idx.key_width, key);
-  return LookupFlatHashed(idx, key, packed, HashKey(idx, key, packed));
-}
-
 // Folds every row added since the last probe of (relation, mask) into the
 // table. Runs under the exclusive memo lock. Batch shape: assign each new
 // row its slot first (capacity pre-grown, so slot indices are stable),
 // sort the (slot, row) pairs, then rebuild the postings arena in one walk
 // that keeps each bucket's rows in row order — amortized O(capacity + new
-// rows) regardless of how the batch scatters over buckets. Rows are read
-// through the global row directory when the relation is sharded, so the
-// secondary tables stay relation-global (postings hold global indices).
+// rows) regardless of how the batch scatters over buckets.
 void Database::CatchUpFlat(const RelationData& data, std::uint32_t mask,
                            FlatIndex* idx) const {
   const std::size_t total = data.num_rows;
@@ -342,19 +360,11 @@ void Database::CatchUpFlat(const RelationData& data, std::uint32_t mask,
   const std::uint32_t w = idx->key_width;
   const std::size_t new_rows = total - idx->rows_indexed;
   EnsureFlatCapacity(idx, idx->used + new_rows);
-  const bool sharded = !data.row_dir.empty();
   std::vector<std::pair<std::uint32_t, std::uint32_t>> adds;  // (slot, row)
   adds.reserve(new_rows);
   ValueId key_buf[32];
   for (std::size_t r = idx->rows_indexed; r < total; ++r) {
-    const ValueId* row;
-    if (!sharded) {
-      row = data.shards[0].arena.data() + r * data.arity;
-    } else {
-      const RowRef ref = data.row_dir[r];
-      row = data.shards[ref.shard].arena.data() +
-            static_cast<std::size_t>(ref.local) * data.arity;
-    }
+    const ValueId* row = data.arena.data() + r * data.arity;
     std::uint32_t k = 0;
     for (std::uint32_t p = 0; mask >> p != 0; ++p) {
       if (mask >> p & 1u) key_buf[k++] = row[p];
@@ -434,7 +444,6 @@ Database::RelationData& Database::EnsureRelation(RelationId rel) {
     rels_.emplace_back();
     rels_.back().name = pool_->NameOf(rel);
     rels_.back().id = rel;
-    rels_.back().shards.resize(static_cast<std::size_t>(shard_count_));
     rel_ids_.push_back(rel);
     relations_dirty_ = true;
   }
@@ -463,27 +472,20 @@ bool Database::AddRow(RelationId rel, std::span<const ValueId> row) {
   RelationData& data = EnsureRelation(rel);
   if (data.num_rows == 0) {
     data.arity = row.size();
-    for (RelShard& s : data.shards) {
-      s.primary.key_width = static_cast<std::uint32_t>(row.size());
-    }
+    data.primary.key_width = static_cast<std::uint32_t>(row.size());
   } else {
     QCONT_CHECK_MSG(row.size() == data.arity,
                     "relations have uniform arity");
   }
-  // Duplicate detection through the owning shard's eager full-row table;
-  // a hit means the fact exists and nothing below runs — in particular
-  // the mutation epoch only bumps once the row is actually claimed, so
-  // the (hot) duplicate path touches no atomics. The row-key hash both
-  // routes to the shard (base/shard.h) and probes its table.
+  // Duplicate detection through the eager full-row table; a hit means the
+  // fact exists and nothing below runs — in particular the mutation epoch
+  // only bumps once the row is actually claimed, so the (hot) duplicate
+  // path touches no atomics.
   const std::uint64_t packed =
       PackedKey(static_cast<std::uint32_t>(data.arity), row);
   const std::uint64_t h =
       HashRowKey(static_cast<std::uint32_t>(data.arity), row, packed);
-  const std::uint32_t shard_idx =
-      shard_count_ > 1 ? ShardOf(h, static_cast<std::uint32_t>(shard_count_))
-                       : 0;
-  RelShard& sh = data.shards[shard_idx];
-  FlatIndex& idx = sh.primary;
+  FlatIndex& idx = data.primary;
   EnsureFlatCapacity(&idx, idx.used + 1);
   LocalProbeCounters ignored;  // insert-path scans are not probe signal
   const std::size_t i = FindSlot(idx, row, packed, h, &ignored);
@@ -492,12 +494,8 @@ bool Database::AddRow(RelationId rel, std::span<const ValueId> row) {
   ClaimPrimarySlot(&idx, i, row, packed, h,
                    static_cast<std::uint32_t>(data.num_rows));
   NoteDomain(row);
-  sh.arena.insert(sh.arena.end(), row.begin(), row.end());
+  data.arena.insert(data.arena.end(), row.begin(), row.end());
   idx.rows_indexed = idx.postings.size();
-  if (shard_count_ > 1) {
-    data.row_dir.push_back(
-        {shard_idx, static_cast<std::uint32_t>(idx.postings.size() - 1)});
-  }
   ++data.num_rows;
   ++num_facts_;
   return true;
@@ -513,7 +511,6 @@ bool Database::AddFact(const std::string& relation, const Tuple& tuple) {
 
 std::size_t Database::AddRowBatch(RelationId rel, std::size_t arity,
                                   std::span<const ValueId> rows,
-                                  const ExecContext& exec,
                                   std::vector<std::uint32_t>* added) {
   QCONT_CHECK_MSG(arity >= 1 && rows.size() % arity == 0,
                   "AddRowBatch: rows must be dense with stride arity >= 1");
@@ -526,157 +523,45 @@ std::size_t Database::AddRowBatch(RelationId rel, std::size_t arity,
   RelationData& data = EnsureRelation(rel);
   if (data.num_rows == 0) {
     data.arity = arity;
-    for (RelShard& s : data.shards) {
-      s.primary.key_width = static_cast<std::uint32_t>(arity);
-    }
+    data.primary.key_width = static_cast<std::uint32_t>(arity);
   } else {
     QCONT_CHECK_MSG(arity == data.arity, "relations have uniform arity");
   }
-  const auto P = static_cast<std::uint32_t>(shard_count_);
+  // One claim loop: per candidate, ensure capacity, Bloom-gate a counted
+  // dedup lookup, and claim the survivor's slot and arena row. A claimed
+  // row is visible to later candidates of the batch, and every step
+  // depends only on the candidate sequence, so rows and counters do not
+  // depend on where a run of candidates is cut into batches.
   const auto w = static_cast<std::uint32_t>(arity);
-
-  // Small unsharded batches (the common delta-round case: tens of rows)
-  // take a serial fast path: the same per-candidate sequence as the staged
-  // pipeline below — capacity, Bloom gate, counted dedup FindSlot, claim —
-  // fused into one loop with no staging vectors, so a tiny round-barrier
-  // commit costs no allocations. Row order and every counter are identical
-  // to the staged path by construction (at P = 1 the staged path visits
-  // candidates in this exact order).
-  constexpr std::size_t kSerialBatchMax = 1024;
-  if (shard_count_ == 1 && n <= kSerialBatchMax) {
-    RelShard& sh = data.shards[0];
-    FlatIndex& idx = sh.primary;
-    LocalProbeCounters c;
-    std::size_t added_count = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::span<const ValueId> key = rows.subspan(i * arity, arity);
-      const std::uint64_t packed = PackedKey(w, key);
-      const std::uint64_t h = HashKey(idx, key, packed);
-      EnsureFlatCapacity(&idx, idx.used + 1);
-      const std::size_t slot_i = DedupSlot(idx, key, packed, h, &c);
-      if (slot_i == kDuplicateRow) continue;
-      const auto g = static_cast<std::uint32_t>(data.num_rows);
-      ClaimPrimarySlot(&idx, slot_i, key, packed, h, g);
-      sh.arena.insert(sh.arena.end(), key.begin(), key.end());
-      NoteDomain(key);
-      if (added != nullptr) added->push_back(g);
-      ++data.num_rows;
-      ++num_facts_;
-      ++added_count;
-    }
-    idx.rows_indexed = idx.postings.size();
-    FlushProbeCounters(c);
-    return added_count;
-  }
-  const FlatIndex& proto = data.shards[0].primary;  // key_width carrier
-
-  // Stage 1 (parallel): hash and shard-route every candidate. The row-key
-  // hash computed here is reused verbatim for the shard's table probe.
-  std::vector<std::uint64_t> hashes(n);
-  std::vector<std::uint64_t> packs(n);
-  std::vector<std::uint32_t> shard_of(n);
-  constexpr std::size_t kChunk = 4096;
-  ParallelFor(exec, (n + kChunk - 1) / kChunk, [&](std::size_t chunk) {
-    const std::size_t lo = chunk * kChunk;
-    const std::size_t hi = std::min(n, lo + kChunk);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::span<const ValueId> key = rows.subspan(i * arity, arity);
-      packs[i] = PackedKey(w, key);
-      hashes[i] = HashKey(proto, key, packs[i]);
-      shard_of[i] = P > 1 ? ShardOf(hashes[i], P) : 0;
-    }
-  });
-
-  // Bucket candidate indices by shard, preserving candidate order within
-  // each shard (stable counting sort), so each shard task scans only its
-  // own candidates.
-  std::vector<std::uint32_t> shard_start(P + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) ++shard_start[shard_of[i] + 1];
-  for (std::uint32_t s = 0; s < P; ++s) shard_start[s + 1] += shard_start[s];
-  std::vector<std::uint32_t> order(n);
-  {
-    std::vector<std::uint32_t> fill(shard_start.begin(),
-                                    shard_start.begin() + P);
-    for (std::size_t i = 0; i < n; ++i) {
-      order[fill[shard_of[i]]++] = static_cast<std::uint32_t>(i);
-    }
-  }
-
-  // Stage 2 (parallel, one task per shard): dedup against the shard's
-  // table *and* against earlier candidates of the batch (a claimed row is
-  // immediately visible to later lookups of the same shard task), claiming
-  // survivors into the shard's private table and arena. Per shard this is
-  // byte-for-byte the serial AddRow sequence — capacity ensured before
-  // every candidate, dups included — so a P=1 batch leaves the exact table
-  // a serial loop would. Shard tasks touch disjoint shards, disjoint
-  // survivor bytes, and per-thread counter stripes: no shared locks.
-  const auto post_base = [&] {
-    std::vector<std::size_t> base(P);
-    for (std::uint32_t s = 0; s < P; ++s) {
-      base[s] = data.shards[s].primary.postings.size();
-    }
-    return base;
-  }();
-  std::vector<std::uint8_t> survivor(n, 0);
-  ParallelFor(exec, P, [&](std::size_t s) {
-    RelShard& sh = data.shards[s];
-    FlatIndex& idx = sh.primary;
-    LocalProbeCounters c;
-    const std::uint32_t* begin = order.data() + shard_start[s];
-    const std::uint32_t* end = order.data() + shard_start[s + 1];
-    for (const std::uint32_t* p = begin; p != end; ++p) {
-      const std::size_t i = *p;
-      const std::span<const ValueId> key = rows.subspan(i * arity, arity);
-      EnsureFlatCapacity(&idx, idx.used + 1);
-      const std::size_t slot_i = DedupSlot(idx, key, packs[i], hashes[i], &c);
-      if (slot_i == kDuplicateRow) continue;
-      // Row 0 is a placeholder, patched with the global id in stage 3.
-      ClaimPrimarySlot(&idx, slot_i, key, packs[i], hashes[i], 0);
-      sh.arena.insert(sh.arena.end(), key.begin(), key.end());
-      survivor[i] = 1;
-    }
-    idx.rows_indexed = idx.postings.size();
-    FlushProbeCounters(c);
-  });
-
-  // Stage 3 (serial): assign global row numbers to the survivors in
-  // candidate order — identical numbering to a serial AddRow loop — patch
-  // the placeholder postings, extend the row directory, and fold new
-  // value ids into the active domain in first-occurrence order.
-  std::size_t committed = 0;
-  std::vector<std::uint32_t> shard_seen(P, 0);
+  FlatIndex& idx = data.primary;
+  LocalProbeCounters c;
+  std::size_t added_count = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (survivor[i] == 0) continue;
-    const std::uint32_t s = shard_of[i];
-    const auto local =
-        static_cast<std::uint32_t>(post_base[s] + shard_seen[s]);
-    ++shard_seen[s];
+    const std::span<const ValueId> key = rows.subspan(i * arity, arity);
+    const std::uint64_t packed = PackedKey(w, key);
+    const std::uint64_t h = HashRowKey(w, key, packed);
+    EnsureFlatCapacity(&idx, idx.used + 1);
+    const std::size_t slot_i = DedupSlot(idx, key, packed, h, &c);
+    if (slot_i == kDuplicateRow) continue;
     const auto g = static_cast<std::uint32_t>(data.num_rows);
-    data.shards[s].primary.postings[local] = g;
-    if (shard_count_ > 1) data.row_dir.push_back({s, local});
-    NoteDomain(rows.subspan(i * arity, arity));
+    ClaimPrimarySlot(&idx, slot_i, key, packed, h, g);
+    data.arena.insert(data.arena.end(), key.begin(), key.end());
+    NoteDomain(key);
     if (added != nullptr) added->push_back(g);
     ++data.num_rows;
     ++num_facts_;
-    ++committed;
+    ++added_count;
   }
-  return committed;
+  idx.rows_indexed = idx.postings.size();
+  FlushProbeCounters(c);
+  return added_count;
 }
 
 bool Database::HasRow(RelationId rel, std::span<const ValueId> row) const {
   const RelationData* data = FindRelation(rel);
   if (data == nullptr || row.size() != data->arity) return false;
   EpochReadGuard guard(mutation_epoch_.v);
-  if (shard_count_ == 1) {
-    return !LookupFlat(data->shards[0].primary, row).empty();
-  }
-  const FlatIndex& proto = data->shards[0].primary;
-  const std::uint64_t packed = PackedKey(proto.key_width, row);
-  const std::uint64_t h = HashKey(proto, row, packed);
-  const FlatIndex& idx =
-      data->shards[ShardOf(h, static_cast<std::uint32_t>(shard_count_))]
-          .primary;
-  return !LookupFlatHashed(idx, row, packed, h).empty();
+  return !LookupFlat(data->primary, row).empty();
 }
 
 bool Database::HasFact(const std::string& relation, const Tuple& tuple) const {
@@ -732,34 +617,21 @@ std::size_t Database::Arity(RelationId rel) const {
 std::span<const ValueId> Database::Row(RelationId rel, std::size_t r) const {
   const RelationData* data = FindRelation(rel);
   QCONT_CHECK(data != nullptr && r < data->num_rows);
-  if (data->row_dir.empty()) {
-    return {data->shards[0].arena.data() + r * data->arity, data->arity};
-  }
-  const RowRef ref = data->row_dir[r];
-  return {data->shards[ref.shard].arena.data() +
-              static_cast<std::size_t>(ref.local) * data->arity,
-          data->arity};
+  return {data->arena.data() + r * data->arity, data->arity};
 }
 
 std::span<const ValueId> Database::Arena(RelationId rel) const {
   const RelationData* data = FindRelation(rel);
-  // Sharded relations have no contiguous block.
-  if (data == nullptr || !data->row_dir.empty()) return {};
-  return {data->shards[0].arena.data(), data->shards[0].arena.size()};
+  if (data == nullptr) return {};
+  return data->arena;
 }
 
 Database::RowView Database::Rows(RelationId rel) const {
   RowView v;
   const RelationData* data = FindRelation(rel);
-  if (data == nullptr || data->num_rows == 0) return v;
-  v.data_ = data;
+  if (data == nullptr) return v;
+  v.base_ = data->arena.data();
   v.arity_ = data->arity;
-  if (data->row_dir.empty()) {
-    v.mode_ = 1;
-    v.base_ = data->shards[0].arena.data();
-  } else {
-    v.mode_ = 2;
-  }
   return v;
 }
 
@@ -770,18 +642,8 @@ std::span<const std::uint32_t> Database::Probe(
   if (data == nullptr) return {};
   EpochReadGuard guard(mutation_epoch_.v);
   // Fully-bound probes are served by the eagerly maintained full-row
-  // primary table of the key's own shard: no lazy build, no lock, and the
-  // routing hash doubles as the probe hash.
-  if (IsFullMask(*data, mask)) {
-    if (shard_count_ == 1) return LookupFlat(data->shards[0].primary, key);
-    const FlatIndex& proto = data->shards[0].primary;
-    const std::uint64_t packed = PackedKey(proto.key_width, key);
-    const std::uint64_t h = HashKey(proto, key, packed);
-    const FlatIndex& idx =
-        data->shards[ShardOf(h, static_cast<std::uint32_t>(shard_count_))]
-            .primary;
-    return LookupFlatHashed(idx, key, packed, h);
-  }
+  // primary table: no lazy build, no lock.
+  if (IsFullMask(*data, mask)) return LookupFlat(data->primary, key);
   return LookupFlat(*EnsureFlatIndex(*data, mask), key);
 }
 
@@ -804,16 +666,9 @@ void Database::ProbeMany(RelationId rel, std::uint32_t mask,
     return;
   }
   EpochReadGuard guard(mutation_epoch_.v);
-  const FlatIndex* idx;
-  if (IsFullMask(*data, mask)) {
-    if (shard_count_ > 1) {
-      ProbeManySharded(*data, keys, w, out);
-      return;
-    }
-    idx = &data->shards[0].primary;
-  } else {
-    idx = EnsureFlatIndex(*data, mask);
-  }
+  const FlatIndex* idx = IsFullMask(*data, mask)
+                             ? &data->primary
+                             : EnsureFlatIndex(*data, mask);
   if (idx->slots.empty()) {
     std::fill(out.begin(), out.end(), std::span<const std::uint32_t>());
     return;
@@ -854,165 +709,6 @@ void Database::ProbeMany(RelationId rel, std::uint32_t mask,
                        idx->postings.data() + slot.start, slot.len);
   }
   FlushProbeCounters(c);
-}
-
-// Fully-bound ProbeMany over a sharded relation (P > 1): the same staged
-// pipeline as the unsharded path, with each key routed to its owning
-// shard's table by the hash that then probes it. Prefetches cross shard
-// boundaries freely — the lookahead key's shard is known as soon as its
-// hash is.
-void Database::ProbeManySharded(
-    const RelationData& data, std::span<const ValueId> keys, std::uint32_t w,
-    std::span<std::span<const std::uint32_t>> out) const {
-  const std::size_t n = out.size();
-  const auto P = static_cast<std::uint32_t>(shard_count_);
-  const FlatIndex& proto = data.shards[0].primary;  // key_width carrier
-  std::vector<std::uint64_t> hashes(n);
-  std::vector<std::uint64_t> packs(n);
-  std::vector<std::uint32_t> shard_of(n);
-  LocalProbeCounters c;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::span<const ValueId> key = keys.subspan(i * w, w);
-    packs[i] = PackedKey(w, key);
-    hashes[i] = HashKey(proto, key, packs[i]);
-    shard_of[i] = ShardOf(hashes[i], P);
-  }
-  const std::size_t dist = std::min(kPrefetchDistance, n);
-  stats_stripe().prefetch_batches.fetch_add((n + dist - 1) / dist,
-                                            std::memory_order_relaxed);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + dist < n) {
-      const FlatIndex& ahead = data.shards[shard_of[i + dist]].primary;
-      if (!ahead.slots.empty() &&
-          BloomMayContain(ahead.bloom, hashes[i + dist])) {
-        const std::size_t home = hashes[i + dist] & (ahead.slots.size() - 1);
-        PrefetchRead(ahead.tags.data() + home);
-        PrefetchRead(ahead.slots.data() + home);
-      }
-    }
-    const FlatIndex& idx = data.shards[shard_of[i]].primary;
-    if (idx.slots.empty()) {
-      out[i] = {};
-      continue;
-    }
-    if (!BloomMayContain(idx.bloom, hashes[i])) {
-      ++c.filter_skips;
-      out[i] = {};
-      continue;
-    }
-    const std::span<const ValueId> key = keys.subspan(i * w, w);
-    const std::size_t s = FindSlot(idx, key, packs[i], hashes[i], &c);
-    const FlatIndex::Slot& slot = idx.slots[s];
-    out[i] = (slot.key == 0 || slot.len == 0)
-                 ? std::span<const std::uint32_t>()
-                 : std::span<const std::uint32_t>(
-                       idx.postings.data() + slot.start, slot.len);
-  }
-  FlushProbeCounters(c);
-}
-
-void Database::Reshard(int shards) {
-  QCONT_CHECK_MSG(shards >= 1 && shards <= kMaxShards,
-                  "Reshard: shard count out of range");
-  if (shards == shard_count_) return;
-  BumpEpoch();
-  const auto P = static_cast<std::uint32_t>(shards);
-  for (RelationData& data : rels_) {
-    const std::size_t nrows = data.num_rows;
-    std::vector<RelShard> fresh(P);
-    for (RelShard& sh : fresh) {
-      sh.primary.key_width = static_cast<std::uint32_t>(data.arity);
-    }
-    if (nrows == 0) {
-      data.shards = std::move(fresh);
-      data.row_dir.clear();
-      continue;
-    }
-    const auto row_at = [&](std::size_t r) -> const ValueId* {
-      if (data.row_dir.empty()) {
-        return data.shards[0].arena.data() + r * data.arity;
-      }
-      const RowRef ref = data.row_dir[r];
-      return data.shards[ref.shard].arena.data() +
-             static_cast<std::size_t>(ref.local) * data.arity;
-    };
-    // Pass 1: hash + route every row, count per-shard loads, and size each
-    // shard's table once from empty — a single build per shard, so
-    // resharding never counts as a probe resize.
-    std::vector<std::uint64_t> hashes(nrows);
-    std::vector<std::uint64_t> packs(nrows);
-    std::vector<std::uint32_t> route(nrows);
-    std::vector<std::size_t> counts(P, 0);
-    const auto w = static_cast<std::uint32_t>(data.arity);
-    for (std::size_t r = 0; r < nrows; ++r) {
-      const std::span<const ValueId> key(row_at(r), data.arity);
-      packs[r] = PackedKey(w, key);
-      hashes[r] = HashKey(fresh[0].primary, key, packs[r]);
-      route[r] = P > 1 ? ShardOf(hashes[r], P) : 0;
-      ++counts[route[r]];
-    }
-    for (std::uint32_t s = 0; s < P; ++s) {
-      if (counts[s] == 0) continue;
-      EnsureFlatCapacity(&fresh[s].primary, counts[s]);
-      fresh[s].arena.reserve(counts[s] * data.arity);
-    }
-    // Pass 2: move rows in global order, keeping their global indices in
-    // the postings (secondary indexes and engine row ids never notice).
-    std::vector<RowRef> new_dir;
-    if (P > 1) new_dir.reserve(nrows);
-    for (std::size_t r = 0; r < nrows; ++r) {
-      const ValueId* row = row_at(r);
-      const std::span<const ValueId> key(row, data.arity);
-      FlatIndex& idx = fresh[route[r]].primary;
-      LocalProbeCounters ignored;  // rebuild scans are not probe signal
-      const std::size_t slot_i =
-          FindSlot(idx, key, packs[r], hashes[r], &ignored);
-      QCONT_CHECK(idx.slots[slot_i].key == 0);  // rows are unique
-      ClaimPrimarySlot(&idx, slot_i, key, packs[r], hashes[r],
-                       static_cast<std::uint32_t>(r));
-      if (P > 1) {
-        new_dir.push_back(
-            {route[r], static_cast<std::uint32_t>(idx.postings.size() - 1)});
-      }
-      fresh[route[r]].arena.insert(fresh[route[r]].arena.end(), row,
-                                   row + data.arity);
-    }
-    for (RelShard& sh : fresh) {
-      sh.primary.rows_indexed = sh.primary.postings.size();
-    }
-    data.shards = std::move(fresh);
-    data.row_dir = std::move(new_dir);
-  }
-  shard_count_ = shards;
-}
-
-DatabaseShardStats Database::shard_stats() const {
-  DatabaseShardStats s;
-  s.shards = shard_count_;
-  const auto P = static_cast<std::size_t>(shard_count_);
-  std::vector<std::uint64_t> loads(P, 0);
-  double max_occ = 0.0;
-  for (const RelationData& data : rels_) {
-    for (std::size_t i = 0; i < data.shards.size() && i < P; ++i) {
-      const FlatIndex& idx = data.shards[i].primary;
-      loads[i] += idx.postings.size();
-      if (!idx.slots.empty()) {
-        max_occ = std::max(max_occ, 100.0 * static_cast<double>(idx.used) /
-                                        static_cast<double>(idx.slots.size()));
-      }
-    }
-  }
-  for (std::uint64_t load : loads) s.rows_total += load;
-  s.rows_max_shard = *std::max_element(loads.begin(), loads.end());
-  s.rows_min_shard = *std::min_element(loads.begin(), loads.end());
-  if (shard_count_ > 1 && s.rows_total > 0) {
-    const double ideal =
-        static_cast<double>(s.rows_total) / static_cast<double>(P);
-    s.imbalance_pct =
-        100.0 * (static_cast<double>(s.rows_max_shard) / ideal - 1.0);
-  }
-  s.max_occupancy_pct = max_occ;
-  return s;
 }
 
 const std::vector<std::string>& Database::Relations() const {

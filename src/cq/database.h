@@ -22,7 +22,6 @@
 namespace qcont {
 
 struct ObsContext;
-struct ExecContext;
 
 /// A database value. Canonical databases use variable names as values
 /// ("frozen" variables), so values are plain strings.
@@ -53,13 +52,9 @@ inline constexpr RelationId kNoRelation = Interner::kMissing;
 /// accounted separately (`tag_hits`/`tag_skips`/`probe_collisions`), and
 /// lookups short-circuited by the Bloom filter still count as probes, with
 /// the skip recorded in `filter_skips`. All counters are deterministic for
-/// a given (database, probe sequence, shard count) and
-/// identical between the SIMD and scalar kernel builds and for every
-/// thread count. (Shard count is part of the key: resharding redistributes
-/// rows over per-shard tables and Bloom filters, so the micro-counters —
-/// tag_hits/tag_skips/filter_skips/probe_resizes — may differ between P=1
-/// and P>1 runs of the same probe sequence. The per-key `probes` total
-/// never does.)
+/// a given (database, probe sequence), identical between the SIMD and
+/// scalar kernel builds and for every thread count, and independent of how
+/// a run of `AddRowBatch` candidates is cut into batches.
 struct DatabaseIndexStats {
   /// Distinct (relation, mask) indexes built so far. Monotonic per database.
   std::uint64_t indexes_built = 0;
@@ -88,28 +83,6 @@ struct DatabaseIndexStats {
   std::uint64_t prefetch_batches = 0;
 };
 
-/// Snapshot of the hash-shard layout (`Database::shard_stats()`), the
-/// source of the `db.shard.*` gauges. Row counts aggregate over relations:
-/// shard s's load is the total number of rows routed to shard s across
-/// every relation. All fields are deterministic for a given database.
-struct DatabaseShardStats {
-  /// Configured shard count P (1 = unsharded layout).
-  int shards = 1;
-  /// Total rows over all relations (== sum over shards of their loads).
-  std::uint64_t rows_total = 0;
-  /// Rows routed to the most / least loaded shard.
-  std::uint64_t rows_max_shard = 0;
-  std::uint64_t rows_min_shard = 0;
-  /// Skew of the heaviest shard over the ideal rows_total/P split, in
-  /// percent: 0 = perfectly balanced, 100 = the heaviest shard holds twice
-  /// its fair share. 0 when the database is empty or P == 1.
-  double imbalance_pct = 0.0;
-  /// Highest occupancy (used/capacity, percent) over every per-shard
-  /// primary probe table — how close the fullest table is to its next
-  /// growth rebuild (at the fixed 75% load factor, DESIGN.md §16).
-  double max_occupancy_pct = 0.0;
-};
-
 /// A finite relational database: a set of facts R(v1,...,vn).
 ///
 /// Values are interned into a shared `Interner` pool, so the join substrate
@@ -122,27 +95,16 @@ struct DatabaseShardStats {
 ///
 /// ## Storage layout
 ///
-/// A relation's rows live in contiguous ValueId arenas with arity stride,
-/// and every row of a relation has the same arity (checked). The arenas —
-/// and the eagerly maintained full-row "primary" probe table that serves
-/// duplicate detection, `HasRow`, and fully-bound probes — are partitioned
-/// into `shard_count()` hash-shards: a row belongs to the shard selected
-/// by `ShardOf(h, P)` (base/shard.h) where `h` is the row-key hash the
-/// probe tables already use. Rows keep *global* indices in insertion
-/// order regardless of the shard they land in (`row_dir_` maps global →
-/// (shard, local)), so row identity, `Facts` order, and posting contents
-/// are independent of P. At the default P=1 the layout is bit-identical
-/// to the unsharded one. Sharding exists so parallel writers
-/// (`AddRowBatch`) can deduplicate and append shard-locally with no
-/// shared locks; see ARCHITECTURE.md for the full concurrency model and
-/// DESIGN.md §17 for the shard internals.
+/// A relation's rows live in one contiguous ValueId arena with arity
+/// stride, in insertion order, and every row of a relation has the same
+/// arity (checked). Row i of a relation is the arena slice
+/// [i*arity, (i+1)*arity). An eagerly maintained full-row "primary" probe
+/// table serves duplicate detection, `HasRow`, and fully-bound probes.
 ///
 /// Per relation, hash indexes keyed on subsets of bound positions (a
 /// position bitmask) are built lazily on first probe, memoized per
 /// (relation, mask), and maintained incrementally as facts are added —
-/// `AddFact` never invalidates an index. These secondary indexes stay
-/// relation-global (their postings hold global row indices), so they are
-/// untouched by resharding. Flat indexes are open-addressing tables
+/// `AddFact` never invalidates an index. Flat indexes are open-addressing tables
 /// (linear probing, power-of-two capacity, packed inline keys for masks
 /// covering ≤2 positions) whose buckets are slices of a shared postings
 /// arena, with a Swiss-table-style 1-byte tag array filtered by one SIMD
@@ -156,8 +118,8 @@ struct DatabaseShardStats {
 /// All const probing entry points (`Probe`, `ProbeMany`, `Facts`, `Row`,
 /// `HasFact`, `HasRow`, `Relations`, `ActiveDomain`, `ValueIdOf`, ...) may
 /// be called concurrently from multiple threads *as long as no thread
-/// mutates the database* (`AddFact`, `AddRow`, `AddRowBatch`, `UnionWith`,
-/// `Reshard`) at the same time — the memoized lazy index builds behind
+/// mutates the database* (`AddFact`, `AddRow`, `AddRowBatch`, `UnionWith`)
+/// at the same time — the memoized lazy index builds behind
 /// `Probe` and the lazily materialized strings behind `Facts`,
 /// `ActiveDomain` and `Relations` are guarded by an internal shared mutex
 /// (shared lock on the read hot path, exclusive lock only while a missing
@@ -168,9 +130,8 @@ struct DatabaseShardStats {
 /// against each other. This is the contract the parallel engines rely on:
 /// databases are frozen for the duration of a parallel region and merged
 /// at the barrier (`mutation_epoch()` bumps on every mutation, and debug
-/// builds verify the freeze with `EpochReadGuard`). `AddRowBatch` is the
-/// one internally parallel mutator: it owns the database for the duration
-/// of the call and fans its shard-local work out itself.
+/// builds verify the freeze with `EpochReadGuard`). See ARCHITECTURE.md
+/// for the full concurrency model.
 class Database {
  public:
   Database() : pool_(std::make_shared<Interner>()) {}
@@ -191,34 +152,29 @@ class Database {
   /// semi-naive merge.
   bool AddRow(RelationId rel, std::span<const ValueId> row);
 
-  /// Batched, shard-parallel AddRow: deduplicates `rows` (candidate rows
-  /// laid out consecutively with stride `arity`) against this relation
-  /// *and* against earlier candidates of the same batch (first occurrence
-  /// wins), then commits the survivors in first-occurrence order — the
-  /// exact database state a serial `AddRow` loop over the batch would
-  /// produce, for every shard count and thread count. Appends the global
-  /// row index of each newly added row to `*added` (in commit order) when
-  /// non-null, and returns the number added.
+  /// Batched AddRow: deduplicates `rows` (candidate rows laid out
+  /// consecutively with stride `arity`) against this relation *and*
+  /// against earlier candidates of the same batch (first occurrence wins),
+  /// committing the survivors in first-occurrence order — the exact
+  /// database state a serial `AddRow` loop over the batch would produce.
+  /// Appends the row index of each newly added row to `*added` (in commit
+  /// order) when non-null, and returns the number added.
   ///
-  /// This is the semi-naive round barrier's merge primitive: with
-  /// `exec.threads > 1` and `shard_count() > 1` the dedup/claim pass runs
-  /// one task per shard (each shard's candidates are claimed into that
-  /// shard's private probe table and arena, no shared locks), global row
-  /// numbering is assigned in one cheap serial pass. No strings are built
-  /// (see `Facts`). Counts `rows.size()/arity`
-  /// probes (one dedup lookup per candidate, mirroring the per-key
-  /// ProbeMany contract). Exclusive: the caller must not probe or mutate
-  /// the database concurrently with this call.
+  /// This is the semi-naive round barrier's merge primitive. No strings
+  /// are built (see `Facts`) and no staging buffer is allocated. Counts
+  /// `rows.size()/arity` probes (one Bloom-gated dedup lookup per
+  /// candidate, mirroring the per-key ProbeMany contract), so rows and
+  /// every index counter are the same however a run of candidates is cut
+  /// into batches. Exclusive: the caller must not probe or mutate the
+  /// database concurrently with this call.
   std::size_t AddRowBatch(RelationId rel, std::size_t arity,
                           std::span<const ValueId> rows,
-                          const ExecContext& exec,
                           std::vector<std::uint32_t>* added = nullptr);
 
   bool HasFact(const std::string& relation, const Tuple& tuple) const;
 
   /// Row-level membership: true iff `row` is a fact of `rel`. Served by
-  /// the owning shard's eagerly maintained full-row table (no lock, no
-  /// allocation).
+  /// the eagerly maintained full-row table (no lock, no allocation).
   bool HasRow(RelationId rel, std::span<const ValueId> row) const;
 
   /// Tuples of `relation` in insertion order (empty if the relation has no
@@ -248,36 +204,31 @@ class Database {
   /// Arity of `rel` (0 if absent).
   std::size_t Arity(RelationId rel) const;
 
-  /// Row `r` of `rel` as a ValueId slice into its shard's arena.
+  /// Row `r` of `rel` as a ValueId slice into its arena.
   /// `r < NumRows(rel)`.
   std::span<const ValueId> Row(RelationId rel, std::size_t r) const;
 
-  /// The whole row arena of `rel` when it is one contiguous block —
-  /// `shard_count() == 1` — so hot loops can slice rows without a per-row
-  /// relation lookup: row i is the slice [i*Arity(rel), (i+1)*Arity(rel)).
-  /// Empty for sharded relations (P > 1 splits the rows over per-shard
-  /// arenas — use `Rows()` for a view that resolves either shape). Stays
-  /// valid until the next AddFact.
+  /// The whole row arena of `rel` (empty if absent), so hot loops can
+  /// slice rows without a per-row relation lookup: row i is the slice
+  /// [i*Arity(rel), (i+1)*Arity(rel)). Stays valid until the next mutation.
   std::span<const ValueId> Arena(RelationId rel) const;
 
   /// Resolved row accessor for hot loops: one relation lookup up front,
-  /// then O(1) row pointers for either shape — contiguous arena (P == 1)
-  /// or per-shard arenas via the global→(shard, local) directory (P > 1).
-  /// Valid until the next mutation.
+  /// then row pointers by pointer arithmetic off the arena base. Valid
+  /// until the next mutation.
   class RowView {
    public:
     RowView() = default;
-    /// Pointer to row r's `Arity(rel)` consecutive values. The P == 1 case
-    /// is pure pointer arithmetic off a base captured at view construction,
-    /// so hot join loops pay no per-row indirection.
-    const ValueId* operator[](std::uint32_t r) const;
+    /// Pointer to row r's `Arity(rel)` consecutive values (null for a
+    /// view of an absent relation).
+    const ValueId* operator[](std::uint32_t r) const {
+      return base_ + static_cast<std::size_t>(r) * arity_;
+    }
 
    private:
     friend class Database;
-    const ValueId* base_ = nullptr;  // mode 1: arena base of shard 0
-    const void* data_ = nullptr;     // mode 2: RelationData
+    const ValueId* base_ = nullptr;  // arena base
     std::size_t arity_ = 0;          // row stride
-    int mode_ = 0;  // 0 empty, 1 contiguous, 2 sharded
   };
   RowView Rows(RelationId rel) const;
 
@@ -288,7 +239,7 @@ class Database {
   /// the next probe. Only the first 32 positions of a relation are
   /// indexable. `mask` must be nonzero. Safe for concurrent const callers
   /// (see class comment); the returned span stays valid until the next
-  /// AddFact. Returned indices are global row indices at any shard count.
+  /// AddFact.
   std::span<const std::uint32_t> Probe(RelationId rel, std::uint32_t mask,
                                        std::span<const ValueId> key) const;
 
@@ -309,33 +260,14 @@ class Database {
   /// immediately), then resolve in key order with the tag group and slot
   /// of the key a fixed distance (8) ahead software-prefetched, so slot
   /// cache lines are in flight before the resolving pass needs them.
-  /// Fully-bound probes of a sharded relation route each key to its owning
-  /// shard's table inside the same pipeline (the key's hash both picks the
-  /// shard and probes its table, so sharding adds no extra hashing).
   void ProbeMany(RelationId rel, std::uint32_t mask,
                  std::span<const ValueId> keys,
                  std::span<std::span<const std::uint32_t>> out) const;
 
-  /// Repartitions every relation's arena and primary probe table into
-  /// `shards` hash-shards. Global row indices, `Facts` order, the active
-  /// domain, the lazy secondary indexes (global postings), and every
-  /// counter are unchanged — only the physical placement of rows moves,
-  /// so answers are bit-identical before and after. O(total rows). The
-  /// usual mutation rules apply (no concurrent probes). `1 <= shards <=
-  /// kMaxShards`; P=1 restores the exact unsharded layout.
-  void Reshard(int shards);
-
-  /// Configured shard count P (1 unless `Reshard` raised it).
-  int shard_count() const { return shard_count_; }
-
-  /// Deterministic snapshot of the shard layout (row balance, table
-  /// occupancy) — the source of the `db.shard.*` gauges.
-  DatabaseShardStats shard_stats() const;
-
   /// Monotonic mutation counter: bumped once per mutating entry point
-  /// (`AddFact`, `AddRow`, `AddRowBatch`, `Reshard`, `UnionWith`). The
-  /// lock-free probe paths are valid only while this is stable — debug
-  /// builds enforce that with `EpochReadGuard` (base/shard.h); release
+  /// (`AddFact`, `AddRow`, `AddRowBatch`, `UnionWith`). The lock-free
+  /// probe paths are valid only while this is stable — debug builds
+  /// enforce that with `EpochReadGuard` (cq/database.cc); release
   /// callers may snapshot it around a parallel region as a cheap sanity
   /// check.
   std::uint64_t mutation_epoch() const {
@@ -356,8 +288,8 @@ class Database {
   /// Snapshot of the index counters, summed over the internal stripes.
   /// (Counters are striped per worker thread — `kStatStripes` cache-line-
   /// aligned atomic blocks selected by pool worker id — so concurrent
-  /// probes on different shards never contend on one counter cache line;
-  /// hence a by-value snapshot.) See the DatabaseIndexStats comment for
+  /// probes from parallel join tasks never contend on one counter cache
+  /// line; hence a by-value snapshot.) See the DatabaseIndexStats comment for
   /// the per-key `probes` contract.
   DatabaseIndexStats index_stats() const {
     DatabaseIndexStats s;
@@ -416,7 +348,7 @@ class Database {
   // One open-addressing probe table. Slots hold a nonzero
   // 64-bit key — the +1-packed values for key widths ≤ 2, or 1 + an index
   // into `wide_keys` otherwise — plus a (start, len) slice of the shared
-  // `postings` arena listing the matching global row indices in row order.
+  // `postings` arena listing the matching row indices in row order.
   // key == 0 marks an empty slot; packed keys are nonzero by construction
   // because kNoValue never occurs in a row, so v+1 ≥ 1 for every value.
   //
@@ -429,10 +361,9 @@ class Database {
   // hashes (8 bits per slot, 2 probe bits per key) consulted before the
   // slot array; both are rebuilt alongside the slots on growth.
   //
-  // The same struct serves two roles: each shard's eagerly maintained
+  // The same struct serves two roles: each relation's eagerly maintained
   // full-row primary table (every key has exactly one posting), and the
-  // relation-global lazily built secondary tables keyed on position
-  // subsets.
+  // lazily built secondary tables keyed on position subsets.
   struct FlatIndex {
     struct Slot {
       std::uint64_t key = 0;
@@ -443,29 +374,10 @@ class Database {
     std::vector<std::uint8_t> tags;       // capacity + 16, mirrored head
     std::vector<std::uint64_t> bloom;     // capacity/8 words (pow2)
     std::vector<ValueId> wide_keys;       // key_width values per wide key
-    std::vector<std::uint32_t> postings;  // shared bucket arena (global ids)
+    std::vector<std::uint32_t> postings;  // shared bucket arena (row ids)
     std::uint32_t key_width = 0;
     std::size_t used = 0;          // occupied slots
-    std::size_t rows_indexed = 0;  // rows folded in (catch-up watermark;
-                                   // shard-local count for primaries)
-  };
-
-  // One hash-shard of a relation: the shard's slice of the
-  // row arena plus its full-row primary table. A row's shard is
-  // ShardOf(HashKey(row), shard_count_) — see base/shard.h for the
-  // routing contract. Shard membership is a physical property only:
-  // postings and the row directory keep global row indices, so the
-  // logical relation is shard-count-invariant.
-  struct RelShard {
-    std::vector<ValueId> arena;  // this shard's rows, stride = arity
-    FlatIndex primary;           // full-mask dedup/probe table of the shard
-  };
-
-  // Global row index -> physical location, maintained only when
-  // shard_count_ > 1 (P = 1 keeps global == local in shards[0]).
-  struct RowRef {
-    std::uint32_t shard = 0;
-    std::uint32_t local = 0;
+    std::size_t rows_indexed = 0;  // rows folded in (catch-up watermark)
   };
 
   struct RelationData {
@@ -475,11 +387,10 @@ class Database {
     std::size_t num_rows = 0;
     // Facts() strings: a prefix of the rows, extended on read.
     mutable std::vector<Tuple> tuples;
-    // The hash-sharded arenas + primary tables (size = shard_count_), the
-    // global→(shard, local) row directory (P > 1 only), and the
-    // relation-global lazy per-mask probe tables.
-    std::vector<RelShard> shards;
-    std::vector<RowRef> row_dir;
+    // The rows (stride = arity), their full-row dedup/probe table, and the
+    // lazy per-mask probe tables.
+    std::vector<ValueId> arena;
+    FlatIndex primary;
     mutable std::unordered_map<std::uint32_t, FlatIndex> flat_indexes;
   };
 
@@ -615,27 +526,16 @@ class Database {
                    FlatIndex* idx) const;
   const FlatIndex* EnsureFlatIndex(const RelationData& data,
                                    std::uint32_t mask) const;
-  // Lookup with the key hash already computed (`h = HashKey(idx, key,
-  // packed)`); the sharded paths hash once to both route and probe.
-  std::span<const std::uint32_t> LookupFlatHashed(const FlatIndex& idx,
-                                                  std::span<const ValueId> key,
-                                                  std::uint64_t packed,
-                                                  std::uint64_t h) const;
   std::span<const std::uint32_t> LookupFlat(const FlatIndex& idx,
                                             std::span<const ValueId> key) const;
   // True iff `mask` covers every position of the relation — the probes the
-  // sharded primaries serve.
+  // primary table serves.
   static bool IsFullMask(const RelationData& data, std::uint32_t mask) {
     return data.arity > 0 && data.arity <= 32 &&
            mask == (data.arity == 32 ? ~0u : (1u << data.arity) - 1u);
   }
-  // Sharded full-mask ProbeMany pipeline (P > 1).
-  void ProbeManySharded(const RelationData& data,
-                        std::span<const ValueId> keys, std::uint32_t w,
-                        std::span<std::span<const std::uint32_t>> out) const;
 
   std::shared_ptr<Interner> pool_;
-  int shard_count_ = 1;                    // P; see Reshard / base/shard.h
   std::deque<RelationData> rels_;          // stable refs; first-fact order
   std::vector<std::int32_t> rel_slot_;     // pool id -> index in rels_, or -1
   std::vector<RelationId> rel_ids_;        // parallel to rels_
@@ -651,21 +551,6 @@ class Database {
   const ObsContext* obs_ = nullptr;  // borrowed; see set_obs
   std::size_t num_facts_ = 0;
 };
-
-inline const ValueId* Database::RowView::operator[](std::uint32_t r) const {
-  switch (mode_) {
-    case 1:  // flat, one contiguous arena (P == 1)
-      return base_ + static_cast<std::size_t>(r) * arity_;
-    case 2: {  // flat, sharded: global -> (shard, local) via the directory
-      const auto* data = static_cast<const Database::RelationData*>(data_);
-      const RowRef ref = data->row_dir[r];
-      return data->shards[ref.shard].arena.data() +
-             static_cast<std::size_t>(ref.local) * arity_;
-    }
-    default:  // empty relation: no row to point at
-      return nullptr;
-  }
-}
 
 /// The canonical database D_theta of a CQ: one fact per atom, with each
 /// variable frozen to a value named after it. Constants keep their name.

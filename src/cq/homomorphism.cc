@@ -14,9 +14,8 @@ namespace {
 
 // The search: interned value ids, per-relation probe tables on the
 // bound-position subset, and dynamic atom selection by estimated candidate
-// count. Candidate rows are read as slices of the relation's arena
-// (per-row fallback for sharded relations); probe keys live in a stack
-// buffer, so an atom expansion does not allocate.
+// count. Candidate rows are read as slices of the relation's arena; probe
+// keys live in a stack buffer, so an atom expansion does not allocate.
 struct IndexedSearcher {
   // One atom position: either a pool-interned constant or a dense-local
   // variable slot.
@@ -29,7 +28,7 @@ struct IndexedSearcher {
     RelationId rel;  // pool id of the predicate; kNoRelation matches nothing
     std::size_t num_rows;            // frozen-region snapshot
     std::size_t arity;               // of the stored relation (0 if absent)
-    std::span<const ValueId> arena;  // unsharded only; empty if sharded
+    std::span<const ValueId> arena;  // the relation's rows, stride arity
     std::vector<Slot> slots;
   };
 
@@ -135,14 +134,11 @@ struct IndexedSearcher {
     return c;
   }
 
-  // Row `r` of the atom's relation: an arena slice when the relation is
-  // unsharded, the per-row accessor otherwise.
-  std::span<const ValueId> RowOf(const AtomInfo& atom, std::uint32_t r) const {
-    if (!atom.arena.empty() || atom.arity == 0) {
-      return atom.arena.subspan(static_cast<std::size_t>(r) * atom.arity,
-                                atom.arity);
-    }
-    return db.Row(atom.rel, r);
+  // Row `r` of the atom's relation, sliced from its arena.
+  static std::span<const ValueId> RowOf(const AtomInfo& atom,
+                                        std::uint32_t r) {
+    return atom.arena.subspan(static_cast<std::size_t>(r) * atom.arity,
+                              atom.arity);
   }
 
   void Recurse(std::size_t depth) {

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "base/check.h"
-#include "base/shard.h"
 #include "base/thread_pool.h"
 #include "cq/homomorphism.h"
 #include "cq/query.h"
@@ -93,8 +92,8 @@ FiredRule FireRule(const CompiledRule& cr, const Database& all) {
 // `arity`, kept in first-touch order, with an explicit row count (an
 // arity-0 relation's one row takes no space). Carries no dedup structure
 // of its own — the round-barrier `Database::AddRowBatch` deduplicates
-// candidates against the database and within the round in one
-// shard-parallel pass (DESIGN.md §17), so between rounds the buffer holds
+// candidates against the database and within the round in one pass, so
+// between rounds the buffer holds
 // candidates, and after the barrier it holds the committed survivors.
 struct DeltaRows {
   RelationId rel = kNoRelation;
@@ -154,11 +153,11 @@ std::size_t MergeSerial(const CompiledRule& cr, const FiredRule& fired,
 // block-sized pool tasks (so one wide delta still fans out across
 // workers), block-join them in parallel against the frozen `all`, then
 // commit each head relation's concatenated candidates with one
-// shard-parallel AddRowBatch at the barrier (a propositional head's one
-// row with AddRow). The derived database (row order, interning order) and
-// all engine counters are bit-identical for every thread and shard count:
-// tasks are merged in (join, block) order, which is the serial block
-// order, and AddRowBatch commits survivors in candidate order.
+// AddRowBatch at the barrier (a propositional head's one row with
+// AddRow). The derived database (row order, interning order) and all
+// engine counters are bit-identical for every thread count: tasks are
+// merged in (join, block) order, which is the serial block order, and
+// AddRowBatch commits survivors in candidate order.
 void EvaluateRounds(const DatalogProgram& program,
                     const std::vector<CompiledRule>& compiled,
                     const EvalOptions& options, RoundDelta delta,
@@ -227,11 +226,11 @@ void EvaluateRounds(const DatalogProgram& program,
         });
     // Round barrier. Gather each head relation's candidate rows in task
     // order (relations keyed by the first producing task), then commit
-    // each relation with one shard-parallel AddRowBatch: it deduplicates
-    // against the database and within the batch, assigns global row
-    // numbers in candidate order, and reports the committed survivors —
-    // which are precisely the next round's delta.
-    ObsSpan merge_span(options.obs, "datalog/shard_merge", "datalog");
+    // each relation with one AddRowBatch: it deduplicates against the
+    // database and within the batch, assigns row numbers in candidate
+    // order, and reports the committed survivors — which are precisely the
+    // next round's delta.
+    ObsSpan merge_span(options.obs, "datalog/merge", "datalog");
     RoundDelta next;
     std::size_t candidates = 0;
     for (std::size_t t = 0; t < tasks.size(); ++t) {
@@ -252,8 +251,7 @@ void EvaluateRounds(const DatalogProgram& program,
         buf.count = all.AddRow(buf.rel, {}) ? 1 : 0;
       } else {
         added.clear();
-        buf.count = all.AddRowBatch(buf.rel, buf.arity, buf.rows,
-                                    options.exec, &added);
+        buf.count = all.AddRowBatch(buf.rel, buf.arity, buf.rows, &added);
         // Replace the candidates with the committed survivors (in commit
         // order) — the relation's slice of the next delta.
         const Database::RowView view = all.Rows(buf.rel);
@@ -293,12 +291,6 @@ Result<Database> EvaluateProgramImpl(const DatalogProgram& program,
   eval_span.AddArg("rules", program.rules().size());
   Database all = edb;
   all.set_obs(options.obs);
-  // Physical-only layout change: partition every relation into
-  // options.shards hash-shards so the round-barrier merge can claim rows
-  // shard-parallel. Answers and engine counters do not depend on it.
-  if (options.shards > 1) {
-    all.Reshard(std::min(options.shards, kMaxShards));
-  }
   const std::vector<CompiledRule> compiled = CompileRules(program, all);
   std::uint64_t round = 0;
 
@@ -380,15 +372,6 @@ Result<Database> EvaluateProgram(const DatalogProgram& program,
     metrics->SetGauge("db.probe.tag_skips", idx.tag_skips);
     metrics->SetGauge("db.probe.filter_skips", idx.filter_skips);
     metrics->SetGauge("db.probe.prefetch_batches", idx.prefetch_batches);
-    const DatabaseShardStats sh = (*result).shard_stats();
-    metrics->SetGauge("db.shard.count", static_cast<std::uint64_t>(sh.shards));
-    metrics->SetGauge("db.shard.rows_total", sh.rows_total);
-    metrics->SetGauge("db.shard.rows_max", sh.rows_max_shard);
-    metrics->SetGauge("db.shard.rows_min", sh.rows_min_shard);
-    metrics->SetGauge("db.shard.imbalance_pct",
-                      static_cast<std::uint64_t>(sh.imbalance_pct));
-    metrics->SetGauge("db.shard.occupancy_pct",
-                      static_cast<std::uint64_t>(sh.max_occupancy_pct));
   }
   if (stats != nullptr) stats->Merge(run);
   return result;

@@ -68,26 +68,15 @@ enum class EvalStrategy {
 /// the scan-join reference lives in tests/hom_oracle.h.
 struct EvalOptions {
   EvalStrategy strategy = EvalStrategy::kSemiNaive;
+  /// Pool for the block-join tasks of each semi-naive round; the
+  /// round-barrier merge (`Database::AddRowBatch`) is serial.
   ExecContext exec;
-  /// Hash-shard count P of the working database (base/shard.h, DESIGN.md
-  /// §17). The EDB copy is resharded to P before round 0, so the
-  /// round-barrier merge (`Database::AddRowBatch`) claims each round's
-  /// candidate rows into P independent per-shard probe tables and arenas —
-  /// one pool task per shard, no shared locks. P=1 (the default) keeps the
-  /// unsharded layout bit-identical to previous releases. Sharding is
-  /// purely physical: answers, derived databases, and every
-  /// machine-independent engine counter are identical for every P (only
-  /// the probe micro-counters move, see DatabaseIndexStats). Deliberately
-  /// an explicit knob — never derived from `exec.threads` — so the
-  /// determinism suites can sweep threads and shards independently.
-  /// Clamped to [1, kMaxShards].
-  int shards = 1;
   /// Optional observability sinks, borrowed from the caller. Each
   /// EvaluateProgram run emits `datalog/eval`, `datalog/round`,
-  /// `datalog/delta_join` and `datalog/shard_merge` spans plus
+  /// `datalog/delta_join` and `datalog/merge` spans plus
   /// `db/index_build` spans from the working database, publishes its stats
   /// under `datalog.eval.*`, and snapshots the working database's index
-  /// and shard-layout counters into `db.*` / `db.shard.*` gauges.
+  /// counters into `db.*` gauges.
   const ObsContext* obs = nullptr;
 };
 

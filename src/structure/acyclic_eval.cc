@@ -54,15 +54,11 @@ struct CompiledAcyclic {
 // relation's arena (never materialized projections).
 struct AtomState {
   const CompiledAtom* ca = nullptr;
-  const Database* db = nullptr;
-  std::span<const ValueId> arena;  // unsharded relation; empty if sharded
+  std::span<const ValueId> arena;  // the relation's rows, stride ca->arity
   std::vector<std::uint32_t> rows;
 
   ValueId At(std::uint32_t r, int pos) const {
-    if (!arena.empty()) {
-      return arena[static_cast<std::size_t>(r) * ca->arity + pos];
-    }
-    return db->Row(ca->rel, r)[pos];
+    return arena[static_cast<std::size_t>(r) * ca->arity + pos];
   }
 };
 
@@ -155,13 +151,11 @@ AtomState BuildAtomState(const CompiledAtom& ca, const Database& db,
                          const FixedIds& fixed, YannakakisStats* stats) {
   AtomState st;
   st.ca = &ca;
-  st.db = &db;
   if (ca.impossible) return st;
   const std::size_t n = db.NumRows(ca.rel);
   if (n == 0) return st;
+  if (db.Arity(ca.rel) != ca.arity) return st;  // uniform arity
   st.arena = db.Arena(ca.rel);
-  const bool flat = !st.arena.empty() || ca.arity == 0;
-  if (flat && db.Arity(ca.rel) != ca.arity) return st;  // uniform arity
   // Per position: the required id (constant / fixed variable, kNoValue if
   // free).
   ValueId required_buf[64];
@@ -198,11 +192,8 @@ AtomState BuildAtomState(const CompiledAtom& ca, const Database& db,
     ++stats->index_probes;
   }
   auto try_row = [&](std::uint32_t r) {
-    std::span<const ValueId> row =
-        flat ? st.arena.subspan(static_cast<std::size_t>(r) * ca.arity,
-                                ca.arity)
-             : db.Row(ca.rel, r);
-    if (row.size() != ca.arity) return;
+    const std::span<const ValueId> row =
+        st.arena.subspan(static_cast<std::size_t>(r) * ca.arity, ca.arity);
     for (std::size_t i = 0; i < ca.arity; ++i) {
       if (required[i] != kNoValue && row[i] != required[i]) return;
     }

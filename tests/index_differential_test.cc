@@ -164,20 +164,11 @@ TEST(IndexDifferentialTest, SemiNaiveIndexedNeverScansMoreThanScanEngine) {
 // ---------------------------------------------------------------------------
 // Storage layout. The database is checked against an independent oracle
 // (tests/db_oracle.h: the inserted facts deduplicated through a std::set),
-// and the physical shard layouts P ∈ {3, 16} against the unsharded P = 1:
-// copies of one database share a pool, so every engine must behave
-// bit-identically on top of them — same answers *and* same engine-level
-// counters (the db-level probe micro-counters legitimately move with P and
-// are not compared).
+// and each engine is run twice on one database — first while it builds the
+// lazy per-mask indexes, then on the built ones. Both passes must give the
+// same answers *and* the same engine-level counters: index state is
+// invisible to the search.
 // ---------------------------------------------------------------------------
-
-// `base` plus copies resharded to P = 3 and P = 16.
-std::vector<Database> ShardCopies(const Database& base) {
-  std::vector<Database> out(3, base);
-  out[1].Reshard(3);
-  out[2].Reshard(16);
-  return out;
-}
 
 void ExpectStatsEqual(const HomSearchStats& a, const HomSearchStats& b,
                       int trial) {
@@ -192,16 +183,15 @@ TEST(LayoutDifferentialTest, HomSearchAgreesWithIdenticalStats) {
   std::mt19937 rng(20260807);
   const testgen::SchemaSpec schema = testgen::SmallSchema();
   for (int trial = 0; trial < 40; ++trial) {
-    const std::vector<Database> dbs =
-        ShardCopies(testgen::RandomDatabase(&rng, schema, 5, 24));
+    const Database db = testgen::RandomDatabase(&rng, schema, 5, 24);
     ConjunctiveQuery cq = testgen::RandomCq(&rng, schema, 4, 4, 2);
-    const std::vector<Tuple> want = Sorted(oracle::EvaluateCq(cq, dbs[0]));
+    const std::vector<Tuple> want = Sorted(oracle::EvaluateCq(cq, db));
     HomSearchStats base_stats;
-    for (std::size_t i = 0; i < dbs.size(); ++i) {
+    for (int pass = 0; pass < 2; ++pass) {
       HomSearchStats s;
-      EXPECT_EQ(Sorted(EvaluateCq(cq, dbs[i], &s)), want)
-          << "trial " << trial << " layout " << i;
-      if (i == 0) {
+      EXPECT_EQ(Sorted(EvaluateCq(cq, db, &s)), want)
+          << "trial " << trial << " pass " << pass;
+      if (pass == 0) {
         base_stats = s;
       } else {
         ExpectStatsEqual(base_stats, s, trial);
@@ -243,20 +233,19 @@ TEST(LayoutDifferentialTest, YannakakisAgreesWithIdenticalStats) {
   std::mt19937 rng(777001);
   const testgen::SchemaSpec schema = testgen::SmallSchema();
   for (int trial = 0; trial < 30; ++trial) {
-    const std::vector<Database> dbs =
-        ShardCopies(testgen::RandomDatabase(&rng, schema, 5, 20));
+    const Database db = testgen::RandomDatabase(&rng, schema, 5, 20);
     ConjunctiveQuery cq = testgen::RandomAcyclicCq(&rng, schema, 4, 1);
     // Reference answers from the scan-based homomorphism search.
-    const std::vector<Tuple> want = Sorted(oracle::EvaluateCq(cq, dbs[0]));
+    const std::vector<Tuple> want = Sorted(oracle::EvaluateCq(cq, db));
     YannakakisStats base_sat, base_eval;
-    for (std::size_t i = 0; i < dbs.size(); ++i) {
+    for (int pass = 0; pass < 2; ++pass) {
       YannakakisStats sat_stats, eval_stats;
-      auto sat = AcyclicSatisfiable(cq, dbs[i], {}, &sat_stats);
-      auto eval = EvaluateAcyclicCq(cq, dbs[i], &eval_stats);
+      auto sat = AcyclicSatisfiable(cq, db, {}, &sat_stats);
+      auto eval = EvaluateAcyclicCq(cq, db, &eval_stats);
       ASSERT_TRUE(sat.ok() && eval.ok()) << "trial " << trial;
-      EXPECT_EQ(*sat, !want.empty()) << "trial " << trial << " layout " << i;
-      EXPECT_EQ(Sorted(*eval), want) << "trial " << trial << " layout " << i;
-      if (i == 0) {
+      EXPECT_EQ(*sat, !want.empty()) << "trial " << trial << " pass " << pass;
+      EXPECT_EQ(Sorted(*eval), want) << "trial " << trial << " pass " << pass;
+      if (pass == 0) {
         base_sat = sat_stats;
         base_eval = eval_stats;
         continue;
@@ -287,26 +276,15 @@ TEST(LayoutDifferentialTest, FactsRowsAndProbesMatchOracle) {
       keys.push_back({testgen::Numbered("v", rng() % domain),
                       testgen::Numbered("v", rng() % domain)});
     }
-    for (const Database& layout : ShardCopies(db)) {
-      const std::string where = "trial " + std::to_string(trial) + " P=" +
-                                std::to_string(layout.shard_count());
-      testgen::ExpectMatchesOracle(layout, oracle, where);
-      for (const std::string& rel : oracle.Relations()) {
-        testgen::ExpectProbesMatchOracle(layout, oracle, rel, keys, where);
-      }
+    const std::string where = "trial " + std::to_string(trial);
+    testgen::ExpectMatchesOracle(db, oracle, where);
+    for (const std::string& rel : oracle.Relations()) {
+      testgen::ExpectProbesMatchOracle(db, oracle, rel, keys, where);
     }
   }
 }
 
-// ---------------------------------------------------------------------------
-// Hash-sharded storage (DESIGN.md §17). Sharding is purely physical: for
-// every shard count P — including non-power-of-two — answers, derived
-// databases, and every engine-level counter must match the unsharded
-// layout exactly. P=1 is additionally bit-identical to previous releases
-// (same arenas, same probe tables).
-// ---------------------------------------------------------------------------
-
-TEST(LayoutDifferentialTest, ShardedSemiNaiveAgreesWithUnshardedExactly) {
+TEST(LayoutDifferentialTest, SemiNaiveAgreesAcrossThreadCountsExactly) {
   std::mt19937 rng(8081);
   const testgen::SchemaSpec schema = testgen::SmallSchema();
   for (int trial = 0; trial < 8; ++trial) {
@@ -314,19 +292,15 @@ TEST(LayoutDifferentialTest, ShardedSemiNaiveAgreesWithUnshardedExactly) {
     DatalogProgram program = testgen::RandomLinearProgram(&rng, schema, 2);
     std::vector<std::vector<Tuple>> goals;
     std::vector<DatalogEvalStats> stats;
-    // The first run (P=1, threads=1) is the oracle; the rest sweep the
-    // full (shards, threads) grid, including the non-power-of-two P=3.
-    for (int shards : {1, 3, 16}) {
-      for (int threads : {1, 8}) {
-        EvalOptions options;
-        options.exec = ExecContext{.threads = threads, .stats = nullptr};
-        options.shards = shards;
-        DatalogEvalStats s;
-        auto goal = EvaluateGoal(program, edb, options, &s);
-        ASSERT_TRUE(goal.ok()) << "trial " << trial;
-        goals.push_back(*goal);
-        stats.push_back(s);
-      }
+    // The first run (threads=1) is the oracle.
+    for (int threads : {1, 8}) {
+      EvalOptions options;
+      options.exec = ExecContext{.threads = threads, .stats = nullptr};
+      DatalogEvalStats s;
+      auto goal = EvaluateGoal(program, edb, options, &s);
+      ASSERT_TRUE(goal.ok()) << "trial " << trial;
+      goals.push_back(*goal);
+      stats.push_back(s);
     }
     for (std::size_t i = 1; i < goals.size(); ++i) {
       EXPECT_EQ(goals[0], goals[i]) << "trial " << trial << " run " << i;
@@ -341,120 +315,37 @@ TEST(LayoutDifferentialTest, ShardedSemiNaiveAgreesWithUnshardedExactly) {
   }
 }
 
-TEST(LayoutDifferentialTest, ReshardPreservesRowsOrderAndProbes) {
-  std::mt19937 rng(16061);
-  const testgen::SchemaSpec schema = testgen::SmallSchema();
-  for (int trial = 0; trial < 10; ++trial) {
-    Database base = testgen::RandomDatabase(&rng, schema, 5, 40);
-    for (int shards : {1, 3, 16}) {
-      Database sharded = base;  // copied pool: ids comparable across the two
-      sharded.Reshard(shards);
-      EXPECT_EQ(sharded.shard_count(), shards);
-      ASSERT_EQ(sharded.NumFacts(), base.NumFacts()) << "trial " << trial;
-      EXPECT_EQ(sharded.ActiveDomain(), base.ActiveDomain());
-      for (const std::string& rel : base.Relations()) {
-        EXPECT_EQ(sharded.Facts(rel), base.Facts(rel)) << "trial " << trial;
-        const RelationId id = base.RelationIdOf(rel);
-        ASSERT_EQ(sharded.NumRows(id), base.NumRows(id));
-        const std::size_t arity = base.Arity(id);
-        const std::uint32_t mask =
-            arity >= 32 ? ~0u : ((1u << arity) - 1u);
-        const Database::RowView rows = sharded.Rows(id);
-        for (std::size_t r = 0; r < base.NumRows(id); ++r) {
-          // Global row numbering survives resharding bit for bit.
-          const std::span<const ValueId> row = base.Row(id, r);
-          EXPECT_TRUE(std::equal(row.begin(), row.end(), rows[r]))
-              << "trial " << trial << " P=" << shards << " row " << r;
-          EXPECT_TRUE(sharded.HasRow(id, row)) << "trial " << trial;
-          // A full-mask probe routed to the owning shard returns the same
-          // global posting the unsharded table returns.
-          const auto hits = sharded.Probe(id, mask, row);
-          const auto base_hits = base.Probe(id, mask, row);
-          EXPECT_TRUE(std::equal(hits.begin(), hits.end(), base_hits.begin(),
-                                 base_hits.end()))
-              << "trial " << trial << " P=" << shards << " row " << r;
-        }
-      }
-      const DatabaseShardStats sh = sharded.shard_stats();
-      EXPECT_EQ(sh.shards, shards);
-      EXPECT_EQ(sh.rows_total, base.NumFacts());
-      EXPECT_GE(sh.rows_max_shard, sh.rows_min_shard);
-    }
-  }
-}
-
-TEST(LayoutDifferentialTest, ShardedGrowthPastLoadKeepsEveryRowProbeable) {
-  // Start sharded with near-empty tables, then append far past the ¾ load
-  // point so every shard's probe table rebuilds several times mid-stream;
-  // membership, postings, and the balance snapshot must stay exact.
-  Database sharded;
-  Database plain;
-  for (Database* db : {&sharded, &plain}) {
-    db->AddFact("E", {"n0", "n1"});
-  }
-  sharded.Reshard(3);
-  const int kRows = 2000;
-  for (int i = 1; i < kRows; ++i) {
-    const Tuple t = {testgen::Numbered("n", i), testgen::Numbered("n", i + 1)};
-    ASSERT_TRUE(sharded.AddFact("E", t));
-    ASSERT_TRUE(plain.AddFact("E", t));
-    ASSERT_FALSE(sharded.AddFact("E", t));  // dup routed to the same shard
-  }
-  EXPECT_EQ(sharded.NumFacts(), plain.NumFacts());
-  EXPECT_EQ(sharded.Facts("E"), plain.Facts("E"));
-  const RelationId id = sharded.RelationIdOf("E");
-  ASSERT_EQ(sharded.NumRows(id), static_cast<std::size_t>(kRows));
-  for (std::size_t r = 0; r < sharded.NumRows(id); ++r) {
-    const std::span<const ValueId> row = plain.Row(id, r);
-    EXPECT_TRUE(std::equal(row.begin(), row.end(), sharded.Row(id, r).begin(),
-                           sharded.Row(id, r).end()));
-    const auto hits = sharded.Probe(id, 0x3u, row);
-    ASSERT_EQ(hits.size(), 1u) << "row " << r;
-    EXPECT_EQ(hits[0], static_cast<std::uint32_t>(r));
-  }
-  const DatabaseShardStats sh = sharded.shard_stats();
-  EXPECT_EQ(sh.shards, 3);
-  EXPECT_EQ(sh.rows_total, static_cast<std::uint64_t>(kRows));
-  EXPECT_GT(sh.rows_min_shard, 0u);  // splitmix64 spreads a 2000-row chain
-  // No shard's table is past its growth threshold.
-  EXPECT_LT(sh.max_occupancy_pct, 100.0);
-}
-
 TEST(LayoutDifferentialTest, ProbeOnlyWorkloadTakesNoExclusiveLocks) {
   // Regression test for the lock-free read contract (ARCHITECTURE.md):
   // once a database is frozen, concurrent full-mask probes touch no
-  // exclusive lock — they are served entirely by the per-shard primary
-  // tables. Runs under the TSAN CI leg, which would also flag any data
-  // race the counter misses.
+  // exclusive lock — they are served entirely by the primary tables. Runs
+  // under the TSAN CI leg, which would also flag any data race the
+  // counter misses.
   std::mt19937 rng(515151);
   const testgen::SchemaSpec schema = testgen::BinarySchema();
-  for (int shards : {1, 3}) {
-    Database db = testgen::RandomDatabase(&rng, schema, 6, 200);
-    if (shards > 1) db.Reshard(shards);
-    const RelationId id = db.RelationIdOf(db.Relations().front());
-    const std::size_t n = db.NumRows(id);
-    ASSERT_GT(n, 0u);
-    std::vector<ValueId> keys;
-    for (std::size_t r = 0; r < n; ++r) {
-      const std::span<const ValueId> row = db.Row(id, r);
-      keys.insert(keys.end(), row.begin(), row.end());
-    }
-    const std::uint64_t locks_before = db.memo_exclusive_locks();
-    const std::uint64_t epoch_before = db.mutation_epoch();
-    ExecContext ctx{.threads = 4, .stats = nullptr};
-    ParallelFor(ctx, 8, [&](std::size_t) {
-      std::vector<std::span<const std::uint32_t>> hits(n);
-      db.ProbeMany(id, 0x3u, keys,
-                   std::span<std::span<const std::uint32_t>>(hits));
-      for (std::size_t r = 0; r < n; ++r) {
-        ASSERT_EQ(hits[r].size(), 1u);
-      }
-    });
-    EXPECT_EQ(db.memo_exclusive_locks(), locks_before)
-        << "a probe-only workload acquired an exclusive lock (P=" << shards
-        << ")";
-    EXPECT_EQ(db.mutation_epoch(), epoch_before);
+  Database db = testgen::RandomDatabase(&rng, schema, 6, 200);
+  const RelationId id = db.RelationIdOf(db.Relations().front());
+  const std::size_t n = db.NumRows(id);
+  ASSERT_GT(n, 0u);
+  std::vector<ValueId> keys;
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::span<const ValueId> row = db.Row(id, r);
+    keys.insert(keys.end(), row.begin(), row.end());
   }
+  const std::uint64_t locks_before = db.memo_exclusive_locks();
+  const std::uint64_t epoch_before = db.mutation_epoch();
+  ExecContext ctx{.threads = 4, .stats = nullptr};
+  ParallelFor(ctx, 8, [&](std::size_t) {
+    std::vector<std::span<const std::uint32_t>> hits(n);
+    db.ProbeMany(id, 0x3u, keys,
+                 std::span<std::span<const std::uint32_t>>(hits));
+    for (std::size_t r = 0; r < n; ++r) {
+      ASSERT_EQ(hits[r].size(), 1u);
+    }
+  });
+  EXPECT_EQ(db.memo_exclusive_locks(), locks_before)
+      << "a probe-only workload acquired an exclusive lock";
+  EXPECT_EQ(db.mutation_epoch(), epoch_before);
 }
 
 }  // namespace

@@ -370,29 +370,25 @@ TEST(BlockJoinTest, WideAndPropositionalShapesMatchReferences) {
       std::vector<std::pair<std::string, std::vector<Tuple>>> first_db;
       DatalogEvalStats first;
       for (const int threads : {1, 8}) {
-        for (const int shards : {1, 3}) {
-          const std::string cell =
-              Cat({at, " threads ", std::to_string(threads), " shards ",
-                   std::to_string(shards)});
-          EvalOptions options;
-          options.exec = ExecContext{.threads = threads, .stats = nullptr};
-          options.shards = shards;
-          DatalogEvalStats s;
-          auto goal = EvaluateGoal(*program, edb, options, &s);
-          auto all = EvaluateProgram(*program, edb, options);
-          ASSERT_TRUE(goal.ok() && all.ok()) << cell;
-          EXPECT_EQ(*goal, *want) << cell;
-          EXPECT_EQ(s.iterations, ss.iterations) << cell;
-          EXPECT_EQ(s.derived_facts, ss.derived_facts) << cell;
-          EXPECT_EQ(s.rule_firings, ss.rule_firings) << cell;
-          if (threads == 1 && shards == 1) {
-            first_db = Dump(*all);
-            first = s;
-            continue;
-          }
-          EXPECT_EQ(Dump(*all), first_db) << cell;
-          ExpectHomStatsEqual(s.hom, first.hom, seed, cell.c_str());
+        const std::string cell =
+            Cat({at, " threads ", std::to_string(threads)});
+        EvalOptions options;
+        options.exec = ExecContext{.threads = threads, .stats = nullptr};
+        DatalogEvalStats s;
+        auto goal = EvaluateGoal(*program, edb, options, &s);
+        auto all = EvaluateProgram(*program, edb, options);
+        ASSERT_TRUE(goal.ok() && all.ok()) << cell;
+        EXPECT_EQ(*goal, *want) << cell;
+        EXPECT_EQ(s.iterations, ss.iterations) << cell;
+        EXPECT_EQ(s.derived_facts, ss.derived_facts) << cell;
+        EXPECT_EQ(s.rule_firings, ss.rule_firings) << cell;
+        if (threads == 1) {
+          first_db = Dump(*all);
+          first = s;
+          continue;
         }
+        EXPECT_EQ(Dump(*all), first_db) << cell;
+        ExpectHomStatsEqual(s.hom, first.hom, seed, cell.c_str());
       }
     }
     // The seeds must exercise the recursive rules, not just round 0.
@@ -412,17 +408,13 @@ TEST(BlockJoinTest, UnboundStepScansWithoutBuildingAnIndex) {
   auto want = EvaluateGoal(*program, *edb, naive);
   ASSERT_TRUE(want.ok());
   EXPECT_EQ(*want, (std::vector<Tuple>{{"a"}, {"b"}}));
-  for (const int shards : {1, 3}) {
-    EvalOptions options;
-    options.shards = shards;
-    DatalogEvalStats stats;
-    auto goal = EvaluateGoal(*program, *edb, options);
-    auto all = EvaluateProgram(*program, *edb, options, &stats);
-    ASSERT_TRUE(goal.ok() && all.ok()) << "shards " << shards;
-    EXPECT_EQ(*goal, *want) << "shards " << shards;
-    EXPECT_EQ(all->index_stats().indexes_built, 0u) << "shards " << shards;
-    EXPECT_EQ(stats.hom.index_probes, 0u) << "shards " << shards;
-  }
+  DatalogEvalStats stats;
+  auto goal = EvaluateGoal(*program, *edb);
+  auto all = EvaluateProgram(*program, *edb, {}, &stats);
+  ASSERT_TRUE(goal.ok() && all.ok());
+  EXPECT_EQ(*goal, *want);
+  EXPECT_EQ(all->index_stats().indexes_built, 0u);
+  EXPECT_EQ(stats.hom.index_probes, 0u);
 }
 
 TEST(FlatSetTest, MatchesUnorderedSetOnRandomWorkload) {

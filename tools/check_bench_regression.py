@@ -29,14 +29,12 @@ median is just that run). The check fails when
     probe-kernel columns actually engaged (`probe_tag_hits` > 0), or
   * --min-ratio BASE:TARGET=X is given and, in the newest file, the median
     real_time of series BASE is less than X times that of series TARGET —
-    a within-file speedup floor between two rows of one capture, used for
-    the multicore scaling acceptance (the threads=8 row of E9's BM_TcWide
-    must beat the threads=1 row by >= 2x). The two rows come from the same
-    machine and the same run, so the gate is meaningful on any capture.
-    With --allow-missing, a ratio whose BASE or TARGET series is absent is
-    reported as a note and passes — that is how the gate stays armed for
-    multicore capture machines without failing captures from machines that
-    cannot schedule the BASE row (their pruned thread grid never emits it).
+    a within-file speedup floor between two rows of one capture (E10's
+    cold row must take >= 2x the warm row's time). The two rows come from
+    the same machine and the same run, so the gate is meaningful on any
+    capture. With --allow-missing, a ratio whose BASE or TARGET series is
+    absent is reported as a note and passes, for rows that only some
+    capture machines emit (a thread axis pruned to the machine's cores).
   * --equal-counter NAME is given (two files only) and some shared series
     reports a different (median) counter NAME in AFTER than in BEFORE, or
     reports it in only one of the two files — used to pin machine-
