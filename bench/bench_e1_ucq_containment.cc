@@ -4,10 +4,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <random>
+#include <string>
 
-#include "analysis/report.h"
 #include "bench/workloads.h"
 #include "cq/containment.h"
 #include "obs/obs.h"
@@ -50,11 +49,11 @@ BENCHMARK(BM_CliqueInClique)->DenseRange(3, 7, 1);
 
 // Headline E1 series: UCQ ⊆ UCQ over chain families at growing chain
 // length. Every disjunct pair is decided by the Chandra-Merlin test on the
-// canonical database of the left chain; the first two right-hand disjuncts
-// are too long to fold into the left chains, so the Sagiv-Yannakakis loop
-// walks them to refutation before the fitting disjunct succeeds. This is
-// the join-substrate hot path: one candidate lookup per atom once the
-// start variable is frozen.
+// small-CQ kernel (the right chain searched on the frozen left chain); the
+// first two right-hand disjuncts are too long to fold into the left
+// chains, so the Sagiv-Yannakakis loop walks them to refutation before the
+// fitting disjunct succeeds. One candidate per atom once the start
+// variable is pinned.
 void BM_UcqContainment(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
@@ -98,26 +97,6 @@ void BM_UcqContainment(benchmark::State& state) {
     // Serial sweeps emit ucq/pair, the parallel grid emits ucq/grid_cell;
     // both are "one disjunct pair decided", so the column sums them.
     state.counters["t_pairs_us"] = totals["ucq/pair"] + totals["ucq/grid_cell"];
-    // Analysis overhead: the routed path consults the AnalysisReport cache
-    // on every containment call. `t_analysis_cold_us` is the one-time report
-    // build (certificates, hashes); `t_analysis_us` is the per-call warm
-    // consult — the cost that actually rides the hot path — and
-    // `analysis_pct` prices it against one containment call's engine work
-    // (gated < 5% by check_bench_regression.py --max-counter in CI).
-    analysis::ClearGlobalAnalysisCache();
-    analysis::RoutingOptions routing;
-    state.counters["t_analysis_cold_us"] = bench::WallMicrosPerCall(1, [&] {
-      benchmark::DoNotOptimize(analysis::AnalyzeForRouting(rhs, routing));
-    });
-    const double t_analysis = bench::WallMicrosPerCall(64, [&] {
-      benchmark::DoNotOptimize(analysis::AnalyzeForRouting(rhs, routing));
-    });
-    const double t_engine = bench::WallMicrosPerCall(4, [&] {
-      benchmark::DoNotOptimize(*UcqContained(lhs, rhs, nullptr, options));
-    });
-    state.counters["t_analysis_us"] = t_analysis;
-    state.counters["analysis_pct"] =
-        100.0 * t_analysis / std::max(t_engine, 1e-6);
     bench::MaybeWriteTrace(trace, bench::Numbered("e1_ucq_n", n) + "_t" +
                                       std::to_string(threads));
   }

@@ -27,10 +27,11 @@ Result<EquivalenceAnswer> DatalogEquivalentToUcq(const DatalogProgram& program,
   EvalOptions eval_options = eval;
   if (eval_options.obs == nullptr) eval_options.obs = router.obs;
   for (const ConjunctiveQuery& disjunct : ucq.disjuncts()) {
-    Database canonical = CanonicalDatabase(disjunct);
-    QCONT_ASSIGN_OR_RETURN(Database derived,
-                           EvaluateProgram(program, canonical, eval_options));
-    if (!derived.HasFact(program.goal_predicate(), CanonicalHead(disjunct))) {
+    FrozenQuery frozen = Freeze(disjunct);  // programs have no constants
+    QCONT_ASSIGN_OR_RETURN(
+        Database derived,
+        EvaluateProgram(program, frozen.database, eval_options));
+    if (!derived.HasFact(program.goal_predicate(), frozen.head)) {
       out.ucq_in_program = false;
       if (!out.witness.has_value()) out.witness = disjunct;
       break;

@@ -9,10 +9,10 @@ namespace qcont {
 
 /// Decides theta ⊆ theta' (containment of CQs of the same arity) by the
 /// Chandra-Merlin test: theta ⊆ theta' iff the frozen head of theta is in
-/// theta'(D_theta). NP in general; `stats` reports search effort. A
-/// variable of theta named like a constant of either query is renamed
-/// apart before freezing, so the two never match each other (the same
-/// holds for the UCQ entry points below).
+/// theta'(D_theta). NP in general; `stats` reports search effort. Every
+/// entry point here runs on the small-CQ kernel (cq/small_cq.h): its term
+/// codes are typed, so a variable and a constant of one name never match
+/// each other.
 Result<bool> CqContained(const ConjunctiveQuery& theta,
                          const ConjunctiveQuery& theta_prime,
                          HomSearchStats* stats = nullptr,

@@ -754,15 +754,29 @@ std::string Database::ToString() const {
   return out;
 }
 
-Database CanonicalDatabase(const ConjunctiveQuery& cq) {
-  Database db;
+namespace {
+
+// D_cq and its frozen head: each variable freezes to its name followed by
+// `suffix`, each constant to its name.
+FrozenQuery FreezeWith(const ConjunctiveQuery& cq, const std::string& suffix) {
+  auto frozen = [&](const Term& t) {
+    return t.is_variable() ? t.name() + suffix : t.name();
+  };
+  FrozenQuery out;
   for (const Atom& a : cq.atoms()) {
-    Tuple t;
-    t.reserve(a.arity());
-    for (const Term& term : a.terms()) t.push_back(term.name());
-    db.AddFact(a.predicate(), std::move(t));
+    Tuple fact;
+    fact.reserve(a.arity());
+    for (const Term& t : a.terms()) fact.push_back(frozen(t));
+    out.database.AddFact(a.predicate(), std::move(fact));
   }
-  return db;
+  for (const Term& t : cq.head()) out.head.push_back(frozen(t));
+  return out;
+}
+
+}  // namespace
+
+Database CanonicalDatabase(const ConjunctiveQuery& cq) {
+  return FreezeWith(cq, "").database;
 }
 
 Tuple CanonicalHead(const ConjunctiveQuery& cq) {
@@ -770,6 +784,24 @@ Tuple CanonicalHead(const ConjunctiveQuery& cq) {
   t.reserve(cq.head().size());
   for (const Term& term : cq.head()) t.push_back(term.name());
   return t;
+}
+
+FrozenQuery Freeze(const ConjunctiveQuery& cq, const ConjunctiveQuery* other) {
+  // One '~' more than any constant ends with: no variable's name followed
+  // by that many equals a constant.
+  std::size_t tildes = 0;
+  for (const ConjunctiveQuery* q : {&cq, other}) {
+    if (q == nullptr) continue;
+    for (const Atom& a : q->atoms()) {
+      for (const Term& t : a.terms()) {
+        if (!t.is_constant()) continue;
+        // npos + 1 wraps to 0 for a name of '~' only.
+        const std::size_t body = t.name().find_last_not_of('~') + 1;
+        tildes = std::max(tildes, t.name().size() - body + 1);
+      }
+    }
+  }
+  return FreezeWith(cq, std::string(tildes, '~'));
 }
 
 }  // namespace qcont

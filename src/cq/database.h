@@ -553,12 +553,28 @@ class Database {
 };
 
 /// The canonical database D_theta of a CQ: one fact per atom, with each
-/// variable frozen to a value named after it. Constants keep their name.
+/// variable frozen to a value named after it. Constants keep their name,
+/// so a variable and a constant of one name freeze to one value: decide
+/// with Freeze below, and keep this for rendering.
 Database CanonicalDatabase(const ConjunctiveQuery& cq);
 
-/// The tuple of frozen head variables of `cq` (the tuple to look for in the
-/// Chandra-Merlin containment test).
+/// The tuple of frozen head variables of `cq`, named as in
+/// CanonicalDatabase.
 Tuple CanonicalHead(const ConjunctiveQuery& cq);
+
+/// D_theta and the frozen head of `cq`, for a decision that evaluates a
+/// query or program over D_theta (Chandra–Merlin and its tractable and
+/// Datalog variants). When `cq` or `other` has a constant, every variable
+/// freezes to its name followed by one '~' more than any constant ends
+/// with (`y` becomes `y~` next to `'y'`), so no variable freezes into a
+/// constant's value. Without constants the result is
+/// CanonicalDatabase(cq) and CanonicalHead(cq).
+struct FrozenQuery {
+  Database database;
+  Tuple head;
+};
+FrozenQuery Freeze(const ConjunctiveQuery& cq,
+                   const ConjunctiveQuery* other = nullptr);
 
 }  // namespace qcont
 

@@ -26,6 +26,14 @@ using Assignment = std::unordered_map<std::string, Value>;
 /// every task of a parallel region fills its own instance, and the totals
 /// are combined with `Merge` at the join, so no counter is ever shared
 /// between threads and totals are identical for every thread count.
+///
+/// The containment API (cq/containment.h) runs on the small-CQ kernel,
+/// which counts as this searcher does on the canonical database D_θ:
+/// every field equals what FindHomomorphism(θ′, D_θ) reports with θ's
+/// frozen head pinned, except in two cases. The kernel drops duplicate
+/// atoms of θ′, so on such θ′ it counts less; and a θ′ constant absent
+/// from θ ends the indexed search before it starts (all counters 0),
+/// while the kernel searches until the constant's atom has no candidate.
 struct HomSearchStats {
   /// Candidate tuples tried against an atom (one per extension attempt of
   /// the partial assignment, successful or not). Accumulates across runs.
@@ -64,11 +72,12 @@ struct HomSearchStats {
   }
 };
 
-/// Configuration of the UCQ containment entry points (cq/containment.h).
-/// `exec` controls the fan-out of *independent* hom-checks in the UCQ
-/// containment loops (UcqContained / CqContainedInUcq); a single
-/// homomorphism search is always serial. There is one search engine, the
-/// indexed one below; its scan reference lives in tests/hom_oracle.h.
+/// Configuration of the containment entry points (cq/containment.h), which
+/// run on the small-CQ kernel (cq/small_cq.h). `exec` controls the fan-out
+/// of *independent* pair checks in the UCQ containment loops
+/// (UcqContained / CqContainedInUcq); a single homomorphism search is
+/// always serial. The evaluation entry points below use the indexed
+/// searcher; its scan reference lives in tests/hom_oracle.h.
 struct HomSearchOptions {
   ExecContext exec;
   /// Optional observability sinks (spans + metrics), carried next to `exec`

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
+
+#include "base/hash.h"
+#include "cq/homomorphism.h"
 
 namespace qcont {
 
@@ -15,14 +19,87 @@ constexpr std::uint32_t kUnbound = std::numeric_limits<std::uint32_t>::max();
 
 std::size_t Words(std::size_t bits) { return bits == 0 ? 1 : (bits + 63) / 64; }
 
-// Index of `name` in names[0, n), or n if absent.
-std::uint32_t FindName(const std::string* const* names, std::uint32_t n,
-                       const std::string& name) {
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (*names[i] == name) return i;
+// Dense ids 0, 1, … for distinct keys, in first-insertion order. The
+// caller stores the key to look up as id size() and calls Add: `hash(id)`
+// hashes the key of an id and `same(a, b)` compares the keys of two ids.
+// While at most kScanKeys keys are known, the new key is compared with
+// every earlier one, which is cheapest for small queries; past that the
+// ids sit in an open-addressing table keyed by the hash, so a lookup is
+// O(1) and Compile stays linear in its input.
+class KeyIndex {
+ public:
+  static constexpr std::uint32_t kScanKeys = 16;
+
+  // Room for `capacity` keys, at least the number of Add calls to come;
+  // forgets every key.
+  void Reset(std::size_t capacity) {
+    capacity_ = capacity;
+    size_ = 0;
+    mask_ = 0;
   }
-  return n;
-}
+
+  std::uint32_t size() const { return size_; }
+
+  // The id of an earlier key equal to the key stored as id size(), or, if
+  // there is none, size() before the call: the new key is kept.
+  template <typename Hash, typename Same>
+  std::uint32_t Add(Hash hash, Same same) {
+    const std::uint32_t id = size_;
+    if (mask_ == 0) {
+      for (std::uint32_t other = 0; other < id; ++other) {
+        if (same(other, id)) return other;
+      }
+      if (++size_ > kScanKeys) {
+        mask_ = std::bit_ceil(2 * capacity_) - 1;
+        slots_.Reset(mask_ + 1);
+        std::fill(slots_.data(), slots_.data() + mask_ + 1, kUnbound);
+        for (std::uint32_t k = 0; k < size_; ++k) Slot(hash, same, k) = k;
+      }
+      return id;
+    }
+    std::uint32_t& slot = Slot(hash, same, id);
+    if (slot == kUnbound) slot = size_++;
+    return slot;
+  }
+
+ private:
+  // The slot holding a key equal to id's, or the empty slot it would take.
+  template <typename Hash, typename Same>
+  std::uint32_t& Slot(Hash& hash, Same& same, std::uint32_t id) {
+    std::size_t slot = hash(id) & mask_;
+    while (slots_[slot] != kUnbound && !same(slots_[slot], id)) {
+      slot = (slot + 1) & mask_;
+    }
+    return slots_[slot];
+  }
+
+  std::size_t capacity_ = 0;
+  std::uint32_t size_ = 0;
+  std::size_t mask_ = 0;
+  StackBuffer<std::uint32_t, 64> slots_;
+};
+
+// Dense ids for names; `capacity` bounds the number of Intern calls.
+class NameTable {
+ public:
+  void Reset(std::size_t capacity) {
+    index_.Reset(capacity);
+    names_.Reset(capacity);
+  }
+  std::uint32_t size() const { return index_.size(); }
+  std::uint32_t Intern(const std::string& name) {
+    names_[index_.size()] = &name;
+    return index_.Add(
+        [&](std::uint32_t id) { return std::hash<std::string>()(*names_[id]); },
+        [&](std::uint32_t a, std::uint32_t b) {
+          return *names_[a] == *names_[b];
+        });
+  }
+
+ private:
+  KeyIndex index_;
+  StackBuffer<const std::string*, 64> names_;
+};
 
 }  // namespace
 
@@ -30,6 +107,7 @@ std::uint32_t FindName(const std::string* const* names, std::uint32_t n,
 // into the atoms of another (the target, possibly the same disjunct),
 // frozen: target variables are distinct values, target constants are
 // values after them. Bit k of a mask is the target's k-th surviving atom.
+// The counters follow the indexed searcher's accounting (HomSearchStats).
 class SmallUcq::Search {
  public:
   Search(const SmallUcq& q, const View& src, const View& tgt)
@@ -43,33 +121,39 @@ class SmallUcq::Search {
       max_arity_ = std::max(max_arity_, q.term_begin_[g + 1] - q.term_begin_[g]);
     }
     // at_[(p * num_values_ + value) * words_]: target atoms holding `value`
-    // at position p.
+    // at position p; of_pred_[pred * words_]: target atoms of `pred`, of
+    // arity pred_arity[pred]; the row past the last predicate stays empty.
     const std::size_t table = std::size_t{max_arity_} * num_values_ * words_;
     at_.Reset(table);
     std::fill(at_.data(), at_.data() + table, 0);
+    const std::size_t rows = std::size_t{q.num_preds_ + 1} * words_;
+    of_pred_.Reset(rows);
+    std::fill(of_pred_.data(), of_pred_.data() + rows, 0);
+    StackBuffer<std::uint32_t, 16> pred_arity(q.num_preds_);
+    std::fill(pred_arity.data(), pred_arity.data() + q.num_preds_, kUnbound);
     for (std::uint32_t k = 0; k < tgt.num_atoms; ++k) {
       const std::uint32_t g = tgt.atom_base + tgt.kept[k];
       const std::uint32_t arity = q.term_begin_[g + 1] - q.term_begin_[g];
+      const std::uint64_t bit = std::uint64_t{1} << (k % 64);
       for (std::uint32_t p = 0; p < arity; ++p) {
-        at_[Slot(p, TargetValue(tgt_terms_[k][p])) + k / 64] |=
-            std::uint64_t{1} << (k % 64);
+        at_[Slot(p, TargetValue(tgt_terms_[k][p])) + k / 64] |= bit;
       }
+      of_pred_[std::size_t{q.pred_[g]} * words_ + k / 64] |= bit;
+      pred_arity[q.pred_[g]] = arity;
     }
-    // Per source atom: its terms and the target atoms of its predicate.
+    // Per source atom: its terms and the target atoms of its predicate —
+    // none when the target uses the predicate's name at another arity.
     src_arity_.Reset(src.num_atoms);
     src_terms_.Reset(src.num_atoms);
-    same_pred_.Reset(std::size_t{src.num_atoms} * words_);
+    src_pred_.Reset(src.num_atoms);
     for (std::uint32_t i = 0; i < src.num_atoms; ++i) {
       const std::uint32_t g = src.atom_base + src.kept[i];
       src_arity_[i] = q.term_begin_[g + 1] - q.term_begin_[g];
       src_terms_[i] = q.terms_.data() + q.term_begin_[g];
-      std::uint64_t* mask = &same_pred_[std::size_t{i} * words_];
-      std::fill(mask, mask + words_, 0);
-      for (std::uint32_t k = 0; k < tgt.num_atoms; ++k) {
-        if (q.pred_[tgt.atom_base + tgt.kept[k]] == q.pred_[g]) {
-          mask[k / 64] |= std::uint64_t{1} << (k % 64);
-        }
-      }
+      const std::uint32_t pred = q.pred_[g];
+      const bool match =
+          pred_arity[pred] == kUnbound || pred_arity[pred] == src_arity_[i];
+      src_pred_[i] = of_pred_.data() + (match ? pred : q.num_preds_) * words_;
     }
     binding_.Reset(src.num_vars);
     trail_.Reset(src.num_vars);
@@ -118,6 +202,8 @@ class SmallUcq::Search {
   // The target atom (surviving-atom position) source atom `i` mapped to.
   std::uint32_t choice(std::uint32_t i) const { return choice_[i]; }
 
+  const HomSearchStats& stats() const { return stats_; }
+
  private:
   std::size_t Slot(std::uint32_t p, std::uint32_t value) const {
     return (std::size_t{p} * num_values_ + value) * words_;
@@ -145,7 +231,7 @@ class SmallUcq::Search {
   // Candidates of source atom `i` under the current binding, into `out`;
   // returns their number.
   std::size_t Candidates(std::uint32_t i, std::uint64_t* out) const {
-    const std::uint64_t* pred = &same_pred_[std::size_t{i} * words_];
+    const std::uint64_t* pred = src_pred_[i];
     for (std::size_t w = 0; w < words_; ++w) out[w] = pred[w] & allowed_[w];
     for (std::uint32_t p = 0; p < src_arity_[i]; ++p) {
       const std::uint32_t value = BoundValue(src_terms_[i][p]);
@@ -181,6 +267,10 @@ class SmallUcq::Search {
     return true;
   }
 
+  // Counts as the indexed searcher does: a probe per tier atom with a
+  // bound position, an attempt per candidate tried (index or scan by
+  // whether a position was bound), a backtrack per empty tier and per
+  // clash inside an atom.
   bool Recurse(std::uint32_t depth) {
     if (depth == src_.num_atoms) return true;
     // The most constrained atom: among the unused atoms with the most
@@ -196,6 +286,7 @@ class SmallUcq::Search {
     for (std::uint32_t i = 0; i < src_.num_atoms; ++i) {
       if (used_[i] != 0 || BoundCount(i) != max_bound) continue;
       const std::size_t count = Candidates(i, trial);
+      if (max_bound > 0) ++stats_.index_probes;
       if (count < best_count) {
         best = i;
         best_count = count;
@@ -203,16 +294,25 @@ class SmallUcq::Search {
         if (count == 0) break;
       }
     }
-    if (best_count == 0) return false;
+    if (best_count == 0) {
+      ++stats_.backtracks;
+      return false;
+    }
     used_[best] = 1;
+    std::uint64_t& tried =
+        max_bound > 0 ? stats_.index_candidates : stats_.scan_candidates;
     const std::uint32_t mark = trail_size_;
     for (std::size_t w = 0; w < words_; ++w) {
       for (std::uint64_t bits = best_mask[w]; bits != 0; bits &= bits - 1) {
         const auto k =
             static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
+        ++stats_.atom_attempts;
+        ++tried;
         if (Extend(best, k)) {
           choice_[best] = k;
           if (Recurse(depth + 1)) return true;
+        } else {
+          ++stats_.backtracks;
         }
         while (trail_size_ > mark) binding_[trail_[--trail_size_]] = kUnbound;
       }
@@ -229,20 +329,21 @@ class SmallUcq::Search {
   std::uint32_t trail_size_ = 0;
   StackBuffer<const Code*, 64> tgt_terms_;
   StackBuffer<std::uint64_t, 512> at_;
+  StackBuffer<std::uint64_t, 16> of_pred_;
   StackBuffer<std::uint32_t, 64> src_arity_;
   StackBuffer<const Code*, 64> src_terms_;
-  StackBuffer<std::uint64_t, 64> same_pred_;
+  StackBuffer<const std::uint64_t*, 64> src_pred_;
   StackBuffer<std::uint32_t, 128> binding_;
   StackBuffer<Code, 128> trail_;
   StackBuffer<std::uint32_t, 64> choice_;
   StackBuffer<std::uint8_t, 64> used_;
   StackBuffer<std::uint64_t, 128> masks_;
   StackBuffer<std::uint64_t, 4> allowed_;
+  HomSearchStats stats_;
 };
 
 Status SmallUcq::Compile(const ConjunctiveQuery* const* cqs, std::size_t n) {
   cqs_ = cqs;
-  num_constants_ = 0;
   std::size_t atoms = 0, terms = 0, heads = 0;
   for (std::size_t d = 0; d < n; ++d) {
     atoms += cqs[d]->atoms().size();
@@ -260,77 +361,82 @@ Status SmallUcq::Compile(const ConjunctiveQuery* const* cqs, std::size_t n) {
   terms_.Reset(terms);
   head_.Reset(heads);
 
-  // Name tables: predicates by (name, arity) with the disjunct that last
-  // used them, constants by name, variables by name per disjunct.
-  StackBuffer<const std::string*, 32> pred_names(atoms);
-  StackBuffer<std::uint32_t, 32> pred_arity(atoms);
+  // Predicates (with the disjunct that last used each, and its arity
+  // there) and constants are keyed by name across the run; per disjunct,
+  // variables by name and the surviving atoms by predicate and codes. One
+  // name may have two arities in two queries; the search keeps them apart.
+  NameTable preds, constants, variables;
+  preds.Reset(atoms);
+  constants.Reset(terms);
   StackBuffer<std::uint32_t, 32> pred_user(atoms);
-  StackBuffer<const std::string*, 32> const_names(terms);
-  StackBuffer<const std::string*, 64> var_names(terms);
-  std::uint32_t num_preds = 0;
+  StackBuffer<std::uint32_t, 32> pred_arity(atoms);
+  KeyIndex unique_atoms;
 
   std::uint32_t g = 0, t = 0, h = 0;
   for (std::size_t d = 0; d < n; ++d) {
     const ConjunctiveQuery& cq = *cqs[d];
     atom_begin_[d] = g;
     head_begin_[d] = h;
-    std::uint32_t vars = 0;
+    std::size_t names = cq.head().size();
+    for (const Atom& atom : cq.atoms()) names += atom.arity();
+    variables.Reset(names);
+    unique_atoms.Reset(cq.atoms().size());
     std::uint32_t kept = 0;
     for (const Atom& atom : cq.atoms()) {
       const auto arity = static_cast<std::uint32_t>(atom.arity());
-      std::uint32_t pred = num_preds;
-      for (std::uint32_t i = 0; i < num_preds; ++i) {
-        if (*pred_names[i] != atom.predicate()) continue;
-        if (pred_arity[i] == arity) {
-          pred = i;
-        } else if (pred_user[i] == d) {
-          return cq.Validate();  // inconsistent arities within the query
-        }
-      }
-      if (pred == num_preds) {
-        pred_names[num_preds] = &atom.predicate();
-        pred_arity[num_preds] = arity;
-        ++num_preds;
+      const std::uint32_t fresh = preds.size();
+      const std::uint32_t pred = preds.Intern(atom.predicate());
+      if (pred != fresh && pred_user[pred] == d && pred_arity[pred] != arity) {
+        return cq.Validate();  // inconsistent arities within the query
       }
       pred_user[pred] = static_cast<std::uint32_t>(d);
+      pred_arity[pred] = arity;
       pred_[g] = pred;
       term_begin_[g] = t;
       for (const Term& term : atom.terms()) {
-        if (term.is_constant()) {
-          std::uint32_t c = FindName(const_names.data(), num_constants_,
-                                     term.name());
-          if (c == num_constants_) const_names[num_constants_++] = &term.name();
-          terms_[t++] = kConstantBit | c;
-        } else {
-          std::uint32_t v = FindName(var_names.data(), vars, term.name());
-          if (v == vars) var_names[vars++] = &term.name();
-          terms_[t++] = v;
-        }
+        terms_[t++] = term.is_constant()
+                          ? kConstantBit | constants.Intern(term.name())
+                          : variables.Intern(term.name());
       }
       term_begin_[g + 1] = t;
       // Keep the atom unless an earlier survivor is the same atom.
-      const std::uint32_t local = g - atom_begin_[d];
-      bool duplicate = false;
-      for (std::uint32_t k = 0; k < kept && !duplicate; ++k) {
-        const std::uint32_t other = atom_begin_[d] + kept_[atom_begin_[d] + k];
-        const Code* a = terms_.data() + term_begin_[other];
-        duplicate = pred_[other] == pred &&
-                    std::equal(a, a + arity, terms_.data() + term_begin_[g]);
-      }
-      if (!duplicate) kept_[atom_begin_[d] + kept++] = local;
+      std::uint32_t* survivors = kept_.data() + atom_begin_[d];
+      survivors[kept] = g - atom_begin_[d];
+      auto global = [&](std::uint32_t k) {
+        return atom_begin_[d] + survivors[k];
+      };
+      const std::uint32_t first = unique_atoms.Add(
+          [&](std::uint32_t k) {
+            std::uint64_t hash = Mix64(pred_[global(k)]);
+            for (std::uint32_t p = term_begin_[global(k)];
+                 p < term_begin_[global(k) + 1]; ++p) {
+              hash = Mix64(hash ^ terms_[p]);
+            }
+            return hash;
+          },
+          [&](std::uint32_t a, std::uint32_t b) {
+            const Code* codes = terms_.data();
+            return pred_[global(a)] == pred_[global(b)] &&
+                   std::equal(codes + term_begin_[global(a)],
+                              codes + term_begin_[global(a) + 1],
+                              codes + term_begin_[global(b)]);
+          });
+      kept += first == kept ? 1 : 0;
       ++g;
     }
+    const std::uint32_t vars = variables.size();
     for (const Term& term : cq.head()) {
-      const std::uint32_t v = term.is_variable()
-                                  ? FindName(var_names.data(), vars, term.name())
-                                  : vars;
-      if (v == vars) return cq.Validate();  // constant or unsafe head term
+      const std::uint32_t v =
+          term.is_variable() ? variables.Intern(term.name()) : vars;
+      if (v >= vars) return cq.Validate();  // constant or unsafe head term
       head_[h++] = v;
     }
     num_vars_[d] = vars;
     kept_count_[d] = kept;
     had_duplicates_[d] = kept != cq.atoms().size() ? 1 : 0;
   }
+  num_preds_ = preds.size();
+  num_constants_ = constants.size();
   atom_begin_[n] = g;
   head_begin_[n] = h;
   return Status::Ok();
@@ -398,7 +504,8 @@ bool SmallUcq::FoldToCore(std::size_t d) {
   }
 }
 
-bool SmallUcq::Contained(std::size_t d, std::size_t e) {
+bool SmallUcq::Contained(std::size_t d, std::size_t e,
+                         HomSearchStats* stats) const {
   const View target = ViewOf(d);
   const View source = ViewOf(e);
   Search search(*this, source, target);
@@ -407,7 +514,9 @@ bool SmallUcq::Contained(std::size_t d, std::size_t e) {
   for (std::uint32_t j = 0; j < source.head_size; ++j) {
     if (!search.Pin(source.head[j], target.head[j])) return false;
   }
-  return search.Run();
+  const bool found = search.Run();
+  if (stats != nullptr) stats->Merge(search.stats());
+  return found;
 }
 
 ConjunctiveQuery SmallUcq::Build(std::size_t d) const {

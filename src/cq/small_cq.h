@@ -10,6 +10,8 @@
 
 namespace qcont {
 
+struct HomSearchStats;
+
 /// Storage for `n` trivially copyable elements: an inline array of N,
 /// one heap block past it. Sized once per use (`Reset`), so a kernel has
 /// one code path for every input size and allocates only when an input
@@ -42,13 +44,17 @@ class StackBuffer {
 };
 
 /// The small-CQ kernel: a run of conjunctive queries compiled to dense
-/// integers against one name table, for cores, subsumption and
-/// Chandra–Merlin containment (DESIGN.md §19).
+/// integers against one name table, for cores, subsumption and the
+/// Chandra–Merlin / Sagiv–Yannakakis containment API (cq/containment.h,
+/// DESIGN.md §19).
 ///
 ///  - Variables get dense per-query ids in first-occurrence order;
-///    predicates are keyed by (name, arity) and constants by name across
-///    the whole run. Term codes are typed: a constant's code carries
+///    predicates and constants are keyed by name across the whole run (a
+///    predicate name used at two arities in two queries matches nothing
+///    between them). Term codes are typed: a constant's code carries
 ///    `kConstantBit`, so variable `y` and constant `'y'` never share one.
+///    Names are looked up by scanning while a table is small and through a
+///    hashed index past that, so compiling is linear in the input.
 ///  - A homomorphism search keeps, per source atom, the candidate target
 ///    atoms as a bitmask (`uint64_t` words; a word array past 64 atoms)
 ///    and narrows it by the precomputed (position, value) masks of the
@@ -89,8 +95,11 @@ class SmallUcq {
 
   /// Chandra–Merlin: disjunct `d` ⊆ disjunct `e` (equal arities). A
   /// homomorphism from `e` into the frozen atoms of `d` that maps `e`'s
-  /// head onto `d`'s head position by position.
-  bool Contained(std::size_t d, std::size_t e);
+  /// head onto `d`'s head position by position. Adds the search's
+  /// counters to `*stats` when given (see HomSearchStats). Read-only, so
+  /// concurrent calls on one compiled kernel are safe.
+  bool Contained(std::size_t d, std::size_t e,
+                 HomSearchStats* stats = nullptr) const;
 
   /// Disjunct `d` in its current form: the head and the surviving atoms of
   /// the source query, in order.
@@ -109,6 +118,7 @@ class SmallUcq {
   View ViewOf(std::size_t d) const;
 
   const ConjunctiveQuery* const* cqs_ = nullptr;
+  std::uint32_t num_preds_ = 0;
   std::uint32_t num_constants_ = 0;
   // Per disjunct.
   StackBuffer<std::uint32_t, 17> atom_begin_;  // global atom index

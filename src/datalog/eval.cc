@@ -439,10 +439,11 @@ Result<bool> UcqContainedInDatalog(const UnionQuery& theta,
     return InvalidArgumentError("UCQ arity differs from goal arity");
   }
   for (const ConjunctiveQuery& disjunct : theta.disjuncts()) {
-    Database canonical = CanonicalDatabase(disjunct);
-    QCONT_ASSIGN_OR_RETURN(Database derived,
-                           EvaluateProgram(program, canonical, options, stats));
-    if (!derived.HasFact(program.goal_predicate(), CanonicalHead(disjunct))) {
+    FrozenQuery frozen = Freeze(disjunct);  // programs have no constants
+    QCONT_ASSIGN_OR_RETURN(
+        Database derived,
+        EvaluateProgram(program, frozen.database, options, stats));
+    if (!derived.HasFact(program.goal_predicate(), frozen.head)) {
       return false;
     }
   }

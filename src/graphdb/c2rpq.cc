@@ -175,11 +175,12 @@ Result<bool> UcqContainedInUC2rpq(const UnionQuery& theta, const UC2rpq& gamma,
             "UCQ-in-UC2RPQ containment requires a binary schema");
       }
     }
-    GraphDatabase g = GraphDatabase::FromDatabase(CanonicalDatabase(disjunct));
-    Tuple frozen = CanonicalHead(disjunct);
+    FrozenQuery frozen = Freeze(disjunct);  // C2RPQs have no constants
+    GraphDatabase g = GraphDatabase::FromDatabase(frozen.database);
     QCONT_ASSIGN_OR_RETURN(std::vector<Tuple> result,
                            EvaluateUC2rpq(gamma, g, stats));
-    if (std::find(result.begin(), result.end(), frozen) == result.end()) {
+    if (std::find(result.begin(), result.end(), frozen.head) ==
+        result.end()) {
       return false;
     }
   }

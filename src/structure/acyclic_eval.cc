@@ -389,20 +389,20 @@ Result<bool> CqContainedAcyclicRhsImpl(const ConjunctiveQuery& theta,
   if (theta.arity() != theta_prime.arity()) {
     return InvalidArgumentError("arity mismatch in containment test");
   }
-  Database canonical = CanonicalDatabase(theta);
-  canonical.set_obs(obs);
-  Tuple frozen = CanonicalHead(theta);
+  FrozenQuery frozen = Freeze(theta, &theta_prime);
+  frozen.database.set_obs(obs);
   Assignment fixed;
   for (std::size_t i = 0; i < theta_prime.head().size(); ++i) {
     const std::string& var = theta_prime.head()[i].name();
     auto it = fixed.find(var);
     if (it != fixed.end()) {
-      if (it->second != frozen[i]) return false;
+      if (it->second != frozen.head[i]) return false;
     } else {
-      fixed.emplace(var, frozen[i]);
+      fixed.emplace(var, frozen.head[i]);
     }
   }
-  return AcyclicSatisfiableImpl(theta_prime, canonical, fixed, stats, obs);
+  return AcyclicSatisfiableImpl(theta_prime, frozen.database, fixed, stats,
+                                obs);
 }
 
 Result<bool> UcqContainedAcyclicRhsImpl(const UnionQuery& theta,

@@ -97,6 +97,18 @@ TEST(UcqInDatalogTest, CanonicalDatabaseCriterion) {
   EXPECT_FALSE(*UcqContainedInDatalog(*backwards, *program));
 }
 
+// The disjunct's variable `c` and its constant 'c' freeze apart, so the
+// f-fact does not join the e-fact.
+TEST(UcqInDatalogTest, VariableAndConstantOfOneNameStayApart) {
+  auto program = ParseProgram("g(x) :- e(x,y), f(y). goal g.");
+  auto ucq = ParseUcq("Q(x) :- e(x,c), f('c').");
+  ASSERT_TRUE(program.ok() && ucq.ok());
+  EXPECT_FALSE(*UcqContainedInDatalog(*ucq, *program));
+  auto joined = ParseUcq("Q(x) :- e(x,'c'), f('c').");
+  ASSERT_TRUE(joined.ok());
+  EXPECT_TRUE(*UcqContainedInDatalog(*joined, *program));
+}
+
 TEST(HAckTest, CyclicButEquivalentToAcyclic) {
   // E(x,y) ∧ E(y,z) ∧ E(x,w) ∧ E(w,z): the core is the 2-path (fold w onto
   // y), so the query is in H(AC1) even though... (this one is acyclic

@@ -3,8 +3,9 @@
 
 // Reference cores and UCQ minimization for differential tests of the
 // small-CQ kernel (cq/small_cq.h). It shares no code with the kernel: the
-// query is frozen into a string Database and every retraction is a
-// FindHomomorphism call into the facts that avoid the folded variable.
+// query is frozen into a string Database, every retraction is a
+// FindHomomorphism call into the facts that avoid the folded variable, and
+// subsumption is the scan-based oracle::UcqContained (tests/hom_oracle.h).
 //
 // Freezing uses bare names, so a variable and a constant of the same name
 // collide: compare against this oracle on constant-free queries only.
@@ -16,10 +17,10 @@
 #include <utility>
 #include <vector>
 
-#include "cq/containment.h"
 #include "cq/database.h"
 #include "cq/homomorphism.h"
 #include "cq/query.h"
+#include "tests/hom_oracle.h"
 
 namespace qcont {
 namespace oracle {
@@ -74,7 +75,8 @@ inline Result<ConjunctiveQuery> CoreOf(const ConjunctiveQuery& cq) {
           if (!mentions_v) restricted.AddFact(rel, fact);
         }
       }
-      std::optional<Assignment> h = FindHomomorphism(current, restricted, fixed);
+      std::optional<Assignment> h =
+          qcont::FindHomomorphism(current, restricted, fixed);
       if (h.has_value()) {
         current = ApplyRetraction(current, *h, term_of_value);
         changed = true;
@@ -90,8 +92,14 @@ inline Result<bool> IsCore(const ConjunctiveQuery& cq) {
   return core.Variables().size() == cq.Variables().size();
 }
 
+// Scan-reference Chandra–Merlin test of two CQs of equal arity.
+inline Result<bool> CqContained(const ConjunctiveQuery& theta,
+                                const ConjunctiveQuery& theta_prime) {
+  return oracle::UcqContained(UnionQuery({theta}), UnionQuery({theta_prime}));
+}
+
 // The server's minimization pre-pass before the kernel: oracle cores, then
-// pairwise CqContained subsumption (ties keep the earliest disjunct).
+// pairwise subsumption (ties keep the earliest disjunct).
 inline Result<UnionQuery> MinimizeUcq(const UnionQuery& ucq) {
   std::vector<ConjunctiveQuery> cores;
   for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
@@ -103,12 +111,14 @@ inline Result<UnionQuery> MinimizeUcq(const UnionQuery& ucq) {
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n && !dead[i]; ++j) {
       if (j == i || dead[j]) continue;
-      QCONT_ASSIGN_OR_RETURN(bool fwd, CqContained(cores[i], cores[j]));
+      QCONT_ASSIGN_OR_RETURN(bool fwd,
+                             oracle::CqContained(cores[i], cores[j]));
       if (!fwd) continue;
       if (j < i) {
         dead[i] = true;
       } else {
-        QCONT_ASSIGN_OR_RETURN(bool back, CqContained(cores[j], cores[i]));
+        QCONT_ASSIGN_OR_RETURN(bool back,
+                               oracle::CqContained(cores[j], cores[i]));
         if (!back) dead[i] = true;
       }
     }

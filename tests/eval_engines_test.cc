@@ -116,6 +116,23 @@ TEST(TractableContainmentProperty, MatchesGenericContainment) {
   }
 }
 
+// Θ's variable `c` and the constant 'c' freeze to different values, on
+// both tractable right-hand sides as in the generic test.
+TEST(TractableContainmentTest, AcyclicRhsKeepsVariableAndConstantApart) {
+  ConjunctiveQuery variable = Cq("Q(x) :- e(x,c).");
+  ConjunctiveQuery constant = Cq("Q(x) :- e(x,'c').");
+  EXPECT_FALSE(*CqContained(variable, constant));
+  EXPECT_FALSE(*CqContainedAcyclicRhs(variable, constant));
+  EXPECT_TRUE(*CqContainedAcyclicRhs(constant, variable));
+}
+
+TEST(TractableContainmentTest, BoundedTwRhsKeepsVariableAndConstantApart) {
+  ConjunctiveQuery variable = Cq("Q(x) :- e(x,c).");
+  ConjunctiveQuery constant = Cq("Q(x) :- e(x,'c').");
+  EXPECT_FALSE(*CqContainedBoundedTwRhs(variable, constant));
+  EXPECT_TRUE(*CqContainedBoundedTwRhs(constant, variable));
+}
+
 TEST(ClassifyTest, PaperExamples) {
   // Example 3: the path is TW(1); closing it raises treewidth to 2; the
   // full clique on n variables has treewidth n-1.

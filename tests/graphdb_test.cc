@@ -118,6 +118,18 @@ TEST(C2rpqTest, StronglyAcyclicIsAcr1) {
   EXPECT_EQ(*AcrkLevel(*q), 1);
 }
 
+// Θ's variable `c` and its constant 'c' freeze to different nodes, so the
+// a-edge and the b-edge do not form a path.
+TEST(UcqInUC2rpqTest, VariableAndConstantOfOneNameStayApart) {
+  auto theta = ParseUcq("Q(x) :- a(x,c), b('c',x).");
+  auto gamma = ParseUC2rpq("Q(x) :- [a b](x,x).");
+  ASSERT_TRUE(theta.ok() && gamma.ok());
+  EXPECT_FALSE(*UcqContainedInUC2rpq(*theta, *gamma));
+  auto joined = ParseUcq("Q(x) :- a(x,'c'), b('c',x).");
+  ASSERT_TRUE(joined.ok());
+  EXPECT_TRUE(*UcqContainedInUC2rpq(*joined, *gamma));
+}
+
 TEST(UcqInUC2rpqTest, CanonicalDatabaseTest) {
   // Every a-edge pair x->y->z is matched by [a a](x,z).
   auto theta = ParseUcq("Q(x,z) :- a(x,y), a(y,z).");

@@ -1,7 +1,7 @@
 // Differential tests of the small-CQ kernel (cq/small_cq.h) behind CoreOf,
-// IsCore and MinimizeUnionQuery, against the Database-based reference in
-// tests/cq_oracle.h. Inputs are constant-free: the oracle freezes
-// variables and constants by bare name.
+// IsCore, MinimizeUnionQuery and the containment API, against the
+// references in tests/cq_oracle.h and tests/hom_oracle.h. Inputs are
+// constant-free: the oracles freeze variables and constants by bare name.
 
 #include <gtest/gtest.h>
 
@@ -130,7 +130,8 @@ TEST(SmallCqDifferential, CoresAndSubsumptionAgreeWithTheOracle) {
         << cq.ToString() << "\n kernel " << core->ToString() << "\n oracle "
         << expected->ToString();
     identical += core->ToString() == expected->ToString();
-    EXPECT_TRUE(*UcqEquivalent(UnionQuery({cq}), UnionQuery({*core})))
+    EXPECT_TRUE(*oracle::CqContained(cq, *core) &&
+                *oracle::CqContained(*core, cq))
         << cq.ToString() << " vs core " << core->ToString();
     EXPECT_EQ(*IsCore(cq), *oracle::IsCore(cq)) << cq.ToString();
     EXPECT_TRUE(*oracle::IsCore(*core)) << core->ToString();
@@ -142,7 +143,7 @@ TEST(SmallCqDifferential, CoresAndSubsumptionAgreeWithTheOracle) {
       for (const auto& [theta, theta_prime] :
            {Pair(&cq, &other), Pair(&other, &cq)}) {
         const bool verdict = SmallCqContained(*theta, *theta_prime);
-        auto reference = CqContained(*theta, *theta_prime);
+        auto reference = oracle::CqContained(*theta, *theta_prime);
         ASSERT_TRUE(reference.ok());
         EXPECT_EQ(verdict, *reference)
             << theta->ToString() << " ⊆ " << theta_prime->ToString();
@@ -190,6 +191,48 @@ TEST(SmallCqDifferential, MinimizeUnionQueryAgreesWithTheServersOldPrepass) {
   }
   EXPECT_GT(unchanged, 200);
   EXPECT_GT(dropped, 200);
+}
+
+// The kernel's counters follow the indexed searcher's accounting: on
+// constant-free pairs whose θ' has no duplicate atoms, CqContained reports
+// what FindHomomorphism(θ', D_θ) reports with θ's frozen head pinned.
+TEST(SmallCqKernel, ContainmentCountersMatchTheIndexedSearch) {
+  std::mt19937 rng(1404);
+  int compared = 0, contained = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    ConjunctiveQuery theta = RandomCq(&rng, 7);
+    ConjunctiveQuery theta_prime = RandomCq(&rng, 5);
+    if (theta.arity() != theta_prime.arity()) continue;
+    std::set<std::string> distinct;
+    for (const Atom& a : theta_prime.atoms()) distinct.insert(a.ToString());
+    if (distinct.size() != theta_prime.atoms().size()) continue;
+    HomSearchStats kernel;
+    auto verdict = CqContained(theta, theta_prime, &kernel);
+    ASSERT_TRUE(verdict.ok());
+    const Tuple head = CanonicalHead(theta);
+    Assignment fixed;
+    bool consistent = true;
+    for (std::size_t j = 0; j < head.size(); ++j) {
+      auto [it, added] = fixed.emplace(theta_prime.head()[j].name(), head[j]);
+      consistent = consistent && (added || it->second == head[j]);
+    }
+    HomSearchStats indexed;
+    const bool found =
+        consistent && FindHomomorphism(theta_prime, CanonicalDatabase(theta),
+                                       fixed, &indexed)
+                          .has_value();
+    const std::string pair = theta.ToString() + " ⊆ " + theta_prime.ToString();
+    EXPECT_EQ(*verdict, found) << pair;
+    EXPECT_EQ(kernel.atom_attempts, indexed.atom_attempts) << pair;
+    EXPECT_EQ(kernel.backtracks, indexed.backtracks) << pair;
+    EXPECT_EQ(kernel.index_probes, indexed.index_probes) << pair;
+    EXPECT_EQ(kernel.index_candidates, indexed.index_candidates) << pair;
+    EXPECT_EQ(kernel.scan_candidates, indexed.scan_candidates) << pair;
+    ++compared;
+    contained += found;
+  }
+  EXPECT_GT(compared, 500);
+  EXPECT_GT(contained, 100);
 }
 
 TEST(SmallCqKernel, AlreadyMinimalUnionAllocatesNothing) {
@@ -302,11 +345,41 @@ TEST(SmallCqKernel, SixtyFourAndSixtyFiveAtomDisjuncts) {
     ConjunctiveQuery small = Star(2, /*free_leaf=*/true);
     EXPECT_TRUE(SmallCqContained(star, small));
     EXPECT_TRUE(SmallCqContained(small, star));
-    EXPECT_EQ(SmallCqContained(star, small), *CqContained(star, small));
+    EXPECT_EQ(SmallCqContained(star, small),
+              *oracle::CqContained(star, small));
     auto minimized = MinimizeUnionQuery(UnionQuery({path, Path(n)}));
     ASSERT_TRUE(minimized.ok() && minimized->has_value());
     EXPECT_EQ((*minimized)->disjuncts().size(), 1u);
   }
+}
+
+// Past sixteen names a compile table is hashed: constants, predicates,
+// variables and duplicate atoms are still found again.
+TEST(SmallCqKernel, ManyNamesCompileThroughTheHashedTables) {
+  std::vector<Atom> atoms;
+  for (int i = 0; i < 40; ++i) {
+    const int k = i % 20;
+    atoms.emplace_back(Numbered("r", k),
+                       std::vector<Term>{V("x"), V(Numbered("y", k)),
+                                         Term::Constant(Numbered("c", k))});
+  }
+  ConjunctiveQuery cq({V("x")}, std::move(atoms));
+  auto core = CoreOf(cq);
+  ASSERT_TRUE(core.ok());
+  EXPECT_EQ(core->atoms().size(), 20u);
+  EXPECT_TRUE(*IsCore(cq));
+  auto probe = [](const char* constant) {
+    return ConjunctiveQuery(
+        {V("x")}, {Atom("r19", {V("x"), V("z"), Term::Constant(constant)})});
+  };
+  ConjunctiveQuery one = probe("c19");
+  ConjunctiveQuery other = probe("c18");
+  EXPECT_TRUE(SmallCqContained(cq, one));
+  EXPECT_FALSE(SmallCqContained(cq, other));
+  EXPECT_FALSE(SmallCqContained(one, cq));
+  // The same name at a second arity in another query is another predicate.
+  ConjunctiveQuery unary({V("x")}, {Atom("r19", {V("x")})});
+  EXPECT_FALSE(SmallCqContained(cq, unary));
 }
 
 TEST(SmallCqKernel, ValidationErrorsAreValidates) {

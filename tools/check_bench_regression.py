@@ -23,7 +23,7 @@ median is just that run). The check fails when
     acceptance rows) — zero matching series is then a hard error, or
   * --max-counter NAME=VALUE is given and any series in the newest file
     reports a (median) counter NAME above VALUE — used to assert the
-    analysis-overhead columns (`analysis_pct` < 5) emitted by E1/E2/E9, or
+    analysis-overhead columns (`analysis_pct` < 5) emitted by E2/E9, or
   * --min-counter NAME=VALUE is given and any series in the newest file
     reports a (median) counter NAME at or below VALUE — used to assert the
     probe-kernel columns actually engaged (`probe_tag_hits` > 0), or
