@@ -4,10 +4,13 @@
 #include <cstdio>
 #include <functional>
 #include <optional>
-#include <unordered_map>
+#include <span>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "base/hash.h"
+#include "base/name_table.h"
 #include "structure/classify.h"
 #include "structure/decomposition.h"
 #include "structure/graph.h"
@@ -30,7 +33,7 @@ struct CanonicalHasher {
     state ^= c;
     state *= 1099511628211ULL;
   }
-  void Text(const std::string& s) {
+  void Text(std::string_view s) {
     for (char c : s) Byte(static_cast<unsigned char>(c));
     Byte(0);
   }
@@ -42,24 +45,9 @@ struct CanonicalHasher {
   std::uint64_t Finish() const { return Mix64(state); }
 };
 
-// First-occurrence variable numbering. Keys are 64-bit digests of the
-// variable names rather than the strings themselves: the canonical hash is
-// already a lossy 64-bit digest, so folding the (vanishingly unlikely)
-// per-name digest collisions into it changes nothing structurally, and it
-// keeps the per-call cache-consult cost free of string-keyed map nodes.
-// One instance is reused across disjuncts/rules (clear() keeps buckets).
-struct NameTable {
-  std::unordered_map<std::uint64_t, int> ids;
-
-  int IdOf(const std::string& name) {
-    auto [it, inserted] = ids.emplace(std::hash<std::string>{}(name),
-                                      static_cast<int>(ids.size()));
-    return it->second;
-  }
-};
-
 // Hashes `atom` with variables renamed to dense ids in first-occurrence
-// order (tracked in `names`); constants pass through by name.
+// order (tracked in `names`, which keys them by the name itself, so two
+// distinct variables never share an id); constants pass through by name.
 void HashCanonicalAtom(const Atom& atom, NameTable* names,
                        CanonicalHasher* h) {
   h->Byte('(');
@@ -67,7 +55,7 @@ void HashCanonicalAtom(const Atom& atom, NameTable* names,
   for (const Term& t : atom.terms()) {
     if (t.is_variable()) {
       h->Byte('v');
-      h->Number(names->IdOf(t.name()));
+      h->Number(static_cast<int>(names->Intern(t.name())));
     } else {
       h->Byte('\'');
       h->Text(t.name());
@@ -82,11 +70,13 @@ std::uint64_t CanonicalQueryHash(const UnionQuery& ucq) {
   CanonicalHasher h;
   NameTable names;
   for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
-    names.ids.clear();
+    std::size_t terms = cq.head().size();
+    for (const Atom& atom : cq.atoms()) terms += atom.arity();
+    names.Reset(terms);
     h.Byte('[');
     for (const Term& t : cq.head()) {
       h.Byte('v');
-      h.Number(names.IdOf(t.name()));
+      h.Number(static_cast<int>(names.Intern(t.name())));
     }
     h.Byte('-');
     for (const Atom& atom : cq.atoms()) {
@@ -103,7 +93,9 @@ std::uint64_t CanonicalProgramHash(const DatalogProgram& program) {
   h.Byte('g');
   h.Text(program.goal_predicate());
   for (const Rule& rule : program.rules()) {
-    names.ids.clear();
+    std::size_t terms = rule.head.arity();
+    for (const Atom& atom : rule.body) terms += atom.arity();
+    names.Reset(terms);
     HashCanonicalAtom(rule.head, &names, &h);
     h.Byte(':');
     for (const Atom& atom : rule.body) {
@@ -118,12 +110,20 @@ std::uint64_t CanonicalDatabaseHash(const Database& db) {
   // Per-fact FNV-1a digests combined with + : commutative, so the hash is
   // a function of the fact *set*. Facts are self-delimiting inside their
   // digest (Text() NUL-terminates), so fields cannot run into each other.
+  // Rows are read as pool ids and named through the pool, one relation's
+  // arena at a time.
   std::uint64_t combined = 0;
-  for (const std::string& relation : db.Relations()) {
-    for (const Tuple& tuple : db.Facts(relation)) {
+  std::vector<const std::string*> names;
+  for (const RelationId rel : db.RelationIds()) {
+    const std::span<const ValueId> arena = db.Arena(rel);
+    const std::size_t arity = db.Arity(rel);
+    names.resize(arena.size() + 1);
+    names[0] = &db.pool()->NameOf(rel);
+    db.pool()->NamesOf(arena, names.data() + 1);
+    for (std::size_t r = 0; r < db.NumRows(rel); ++r) {
       CanonicalHasher h;
-      h.Text(relation);
-      for (const Value& v : tuple) h.Text(v);
+      h.Text(*names[0]);
+      for (std::size_t j = 1; j <= arity; ++j) h.Text(*names[r * arity + j]);
       combined += h.Finish();
     }
   }

@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -58,6 +60,12 @@ class Interner {
   /// Returns the id of `name`, creating one if it is new.
   SymbolId Intern(std::string_view name);
 
+  /// Interns `names[i]` into `out[i]` for every i: the ids a loop of
+  /// `Intern` calls in that order would return, so new names get ids in
+  /// first-occurrence order. Takes the shared lock once and the exclusive
+  /// lock at most once.
+  void InternAll(std::span<const std::string_view> names, SymbolId* out);
+
   /// Returns the id of `name`, or `kMissing` if never interned.
   static constexpr SymbolId kMissing = static_cast<SymbolId>(-1);
   SymbolId Find(std::string_view name) const;
@@ -66,12 +74,26 @@ class Interner {
   /// for the interner's lifetime.
   const std::string& NameOf(SymbolId id) const;
 
+  /// `out[i] = &NameOf(ids[i])` for every i, under one shared lock.
+  void NamesOf(std::span<const SymbolId> ids, const std::string** out) const;
+
   std::size_t size() const;
 
  private:
   // Behind a pointer so the interner itself stays movable.
+  // Intern's insert half; the caller holds the exclusive lock.
+  SymbolId InternLocked(std::string_view name);
+
+  // Looks names up as views, so no probe builds a string.
+  struct ViewHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>()(s);
+    }
+  };
+
   mutable std::unique_ptr<std::shared_mutex> mu_;
-  std::unordered_map<std::string, SymbolId> ids_;
+  std::unordered_map<std::string, SymbolId, ViewHash, std::equal_to<>> ids_;
   std::deque<std::string> names_;  // deque: stable refs under growth
 };
 

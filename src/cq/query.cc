@@ -1,7 +1,8 @@
 #include "cq/query.h"
 
-#include <unordered_map>
 #include <unordered_set>
+
+#include "base/name_table.h"
 
 namespace qcont {
 
@@ -36,16 +37,23 @@ std::vector<Term> ConjunctiveQuery::ExistentialVariables() const {
 }
 
 Status ConjunctiveQuery::Validate() const {
-  std::unordered_set<std::string> body_vars;
-  std::unordered_map<std::string, std::size_t> arities;
+  std::size_t terms = 0;
+  for (const Atom& a : atoms_) terms += a.arity();
+  NameTable predicates, body_vars;
+  predicates.Reset(atoms_.size());
+  body_vars.Reset(terms + 1);  // + the one unsafe head variable
+  StackBuffer<std::size_t, 32> arity(atoms_.size());
   for (const Atom& a : atoms_) {
-    auto [it, inserted] = arities.emplace(a.predicate(), a.arity());
-    if (!inserted && it->second != a.arity()) {
+    const std::uint32_t fresh = predicates.size();
+    const std::uint32_t p = predicates.Intern(a.predicate());
+    if (p == fresh) {
+      arity[p] = a.arity();
+    } else if (arity[p] != a.arity()) {
       return InvalidArgumentError("predicate '" + a.predicate() +
                                   "' used with inconsistent arities");
     }
     for (const Term& t : a.terms()) {
-      if (t.is_variable()) body_vars.insert(t.name());
+      if (t.is_variable()) body_vars.Intern(t.name());
     }
   }
   for (const Term& t : head_) {
@@ -53,7 +61,8 @@ Status ConjunctiveQuery::Validate() const {
       return InvalidArgumentError("head term " + t.ToString() +
                                   " is not a variable");
     }
-    if (!body_vars.count(t.name())) {
+    const std::uint32_t known = body_vars.size();
+    if (body_vars.Intern(t.name()) == known) {
       return InvalidArgumentError("free variable " + t.name() +
                                   " does not occur in the body");
     }
@@ -79,15 +88,22 @@ Status UnionQuery::Validate() const {
   if (disjuncts_.empty()) {
     return InvalidArgumentError("a UCQ must have at least one disjunct");
   }
-  std::unordered_map<std::string, std::size_t> arities;
+  std::size_t atoms = 0;
+  for (const ConjunctiveQuery& cq : disjuncts_) atoms += cq.atoms().size();
+  NameTable predicates;
+  predicates.Reset(atoms);
+  StackBuffer<std::size_t, 32> arity(atoms);
   for (const ConjunctiveQuery& cq : disjuncts_) {
     QCONT_RETURN_IF_ERROR(cq.Validate());
     if (cq.arity() != disjuncts_.front().arity()) {
       return InvalidArgumentError("UCQ disjuncts have different arities");
     }
     for (const Atom& a : cq.atoms()) {
-      auto [it, inserted] = arities.emplace(a.predicate(), a.arity());
-      if (!inserted && it->second != a.arity()) {
+      const std::uint32_t fresh = predicates.size();
+      const std::uint32_t p = predicates.Intern(a.predicate());
+      if (p == fresh) {
+        arity[p] = a.arity();
+      } else if (arity[p] != a.arity()) {
         return InvalidArgumentError("predicate '" + a.predicate() +
                                     "' used with inconsistent arities");
       }

@@ -19,88 +19,6 @@ constexpr std::uint32_t kUnbound = std::numeric_limits<std::uint32_t>::max();
 
 std::size_t Words(std::size_t bits) { return bits == 0 ? 1 : (bits + 63) / 64; }
 
-// Dense ids 0, 1, … for distinct keys, in first-insertion order. The
-// caller stores the key to look up as id size() and calls Add: `hash(id)`
-// hashes the key of an id and `same(a, b)` compares the keys of two ids.
-// While at most kScanKeys keys are known, the new key is compared with
-// every earlier one, which is cheapest for small queries; past that the
-// ids sit in an open-addressing table keyed by the hash, so a lookup is
-// O(1) and Compile stays linear in its input.
-class KeyIndex {
- public:
-  static constexpr std::uint32_t kScanKeys = 16;
-
-  // Room for `capacity` keys, at least the number of Add calls to come;
-  // forgets every key.
-  void Reset(std::size_t capacity) {
-    capacity_ = capacity;
-    size_ = 0;
-    mask_ = 0;
-  }
-
-  std::uint32_t size() const { return size_; }
-
-  // The id of an earlier key equal to the key stored as id size(), or, if
-  // there is none, size() before the call: the new key is kept.
-  template <typename Hash, typename Same>
-  std::uint32_t Add(Hash hash, Same same) {
-    const std::uint32_t id = size_;
-    if (mask_ == 0) {
-      for (std::uint32_t other = 0; other < id; ++other) {
-        if (same(other, id)) return other;
-      }
-      if (++size_ > kScanKeys) {
-        mask_ = std::bit_ceil(2 * capacity_) - 1;
-        slots_.Reset(mask_ + 1);
-        std::fill(slots_.data(), slots_.data() + mask_ + 1, kUnbound);
-        for (std::uint32_t k = 0; k < size_; ++k) Slot(hash, same, k) = k;
-      }
-      return id;
-    }
-    std::uint32_t& slot = Slot(hash, same, id);
-    if (slot == kUnbound) slot = size_++;
-    return slot;
-  }
-
- private:
-  // The slot holding a key equal to id's, or the empty slot it would take.
-  template <typename Hash, typename Same>
-  std::uint32_t& Slot(Hash& hash, Same& same, std::uint32_t id) {
-    std::size_t slot = hash(id) & mask_;
-    while (slots_[slot] != kUnbound && !same(slots_[slot], id)) {
-      slot = (slot + 1) & mask_;
-    }
-    return slots_[slot];
-  }
-
-  std::size_t capacity_ = 0;
-  std::uint32_t size_ = 0;
-  std::size_t mask_ = 0;
-  StackBuffer<std::uint32_t, 64> slots_;
-};
-
-// Dense ids for names; `capacity` bounds the number of Intern calls.
-class NameTable {
- public:
-  void Reset(std::size_t capacity) {
-    index_.Reset(capacity);
-    names_.Reset(capacity);
-  }
-  std::uint32_t size() const { return index_.size(); }
-  std::uint32_t Intern(const std::string& name) {
-    names_[index_.size()] = &name;
-    return index_.Add(
-        [&](std::uint32_t id) { return std::hash<std::string>()(*names_[id]); },
-        [&](std::uint32_t a, std::uint32_t b) {
-          return *names_[a] == *names_[b];
-        });
-  }
-
- private:
-  KeyIndex index_;
-  StackBuffer<const std::string*, 64> names_;
-};
-
 }  // namespace
 
 // Backtracking homomorphism search from one compiled disjunct (the source)

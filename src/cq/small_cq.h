@@ -5,43 +5,13 @@
 #include <cstdint>
 #include <memory>
 
+#include "base/name_table.h"
 #include "base/status.h"
 #include "cq/query.h"
 
 namespace qcont {
 
 struct HomSearchStats;
-
-/// Storage for `n` trivially copyable elements: an inline array of N,
-/// one heap block past it. Sized once per use (`Reset`), so a kernel has
-/// one code path for every input size and allocates only when an input
-/// outgrows the inline capacity. Contents are unspecified after Reset.
-template <typename T, std::size_t N>
-class StackBuffer {
- public:
-  StackBuffer() = default;
-  explicit StackBuffer(std::size_t n) { Reset(n); }
-  StackBuffer(const StackBuffer&) = delete;
-  StackBuffer& operator=(const StackBuffer&) = delete;
-
-  void Reset(std::size_t n) {
-    if (n > N && n > heap_size_) {
-      heap_.reset(new T[n]);
-      heap_size_ = n;
-    }
-    data_ = n > N ? heap_.get() : inline_;
-  }
-  T* data() { return data_; }
-  const T* data() const { return data_; }
-  T& operator[](std::size_t i) { return data_[i]; }
-  const T& operator[](std::size_t i) const { return data_[i]; }
-
- private:
-  T inline_[N];
-  std::unique_ptr<T[]> heap_;
-  std::size_t heap_size_ = 0;
-  T* data_ = inline_;
-};
 
 /// The small-CQ kernel: a run of conjunctive queries compiled to dense
 /// integers against one name table, for cores, subsumption and the

@@ -1,6 +1,7 @@
 #ifndef QCONT_PARSER_PARSER_H_
 #define QCONT_PARSER_PARSER_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,10 @@
 #include "graphdb/c2rpq.h"
 
 namespace qcont {
+
+// The lexer's tokens are views into the text being parsed, so they live
+// only as long as that text; every object an entry point returns owns its
+// strings and outlives the text.
 
 /// Source positions recorded while parsing: the 1-based line on which each
 /// rule (or UCQ/UC2RPQ disjunct) starts, in rule order. The analyzer uses
@@ -61,7 +66,19 @@ Result<UC2rpq> ParseUC2rpq(const std::string& text,
 /// Parses a database as a list of facts:
 ///
 ///     likes('ann', 'beer'). trendy('ann').
-Result<Database> ParseDatabase(const std::string& text);
+///
+/// With a `pool`, the database is built in it, so it can be joined with
+/// the pool's other databases as it stands (the server parses an eval
+/// request's database straight into its shared pool); without one it owns
+/// a fresh pool. Either way nothing is interned unless the whole text
+/// parses: every syntax and fact check (no bodies, no regex atoms, one
+/// arity per relation) runs first. Names are then interned in text order,
+/// each fact's relation before its values, and the rows are added one
+/// relation at a time, relations in first-fact order. The call is as
+/// thread-safe as the pool's `Interner`: threads may parse into one pool
+/// concurrently.
+Result<Database> ParseDatabase(const std::string& text,
+                               std::shared_ptr<Interner> pool = nullptr);
 
 /// Parse-only variants that skip semantic validation: syntax errors still
 /// fail, but unsafe rules, arity clashes etc. come back as a constructed

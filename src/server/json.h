@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/status.h"
@@ -65,6 +66,10 @@ Result<JsonValue> ParseJson(const std::string& text);
 
 /// Escapes `s` for embedding in a JSON string literal (quotes not added).
 std::string JsonEscape(const std::string& s);
+
+/// Appends the escaped `s` to `*out`: the same bytes as `JsonEscape(s)`,
+/// without the temporary.
+void JsonEscape(std::string_view s, std::string* out);
 
 }  // namespace server
 }  // namespace qcont

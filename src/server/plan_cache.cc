@@ -1,5 +1,6 @@
 #include "server/plan_cache.h"
 
+#include "obs/metrics.h"
 #include "server/json.h"
 
 namespace qcont {
@@ -10,7 +11,9 @@ CachedEval::CachedEval(const std::vector<Tuple>& tuples) : tuples_json("[") {
     tuples_json += i > 0 ? ",[" : "[";
     for (std::size_t j = 0; j < tuples[i].size(); ++j) {
       if (j > 0) tuples_json += ",";
-      tuples_json.append("\"").append(JsonEscape(tuples[i][j])).append("\"");
+      tuples_json += '"';
+      JsonEscape(tuples[i][j], &tuples_json);
+      tuples_json += '"';
     }
     tuples_json += "]";
   }
@@ -26,20 +29,23 @@ PlanCache::PlanCache(PlanCacheConfig config)
       artifacts_(ProgramArtifactCacheConfig{config.artifact_capacity,
                                             config.obs}) {}
 
+// Counter names are built only when a registry is attached.
 void PlanCache::Publish(const char* kind, bool hit) const {
-  ObsCount(obs_,
-           std::string("server.cache.") + kind + (hit ? ".hits" : ".misses"),
-           1);
+  MetricRegistry* const metrics = ObsMetrics(obs_);
+  if (metrics == nullptr) return;
+  metrics->Add(std::string("server.cache.") + kind + (hit ? ".hits" : ".misses"),
+               1);
 }
 
 void PlanCache::PublishInsert(const char* kind, std::uint64_t evicted) const {
-  ObsCount(obs_, std::string("server.cache.") + kind + ".insertions", 1);
+  MetricRegistry* const metrics = ObsMetrics(obs_);
+  if (metrics == nullptr) return;
+  metrics->Add(std::string("server.cache.") + kind + ".insertions", 1);
   if (evicted > 0) {
-    ObsCount(obs_, std::string("server.cache.") + kind + ".evictions",
-             evicted);
+    metrics->Add(std::string("server.cache.") + kind + ".evictions", evicted);
   }
-  ObsGauge(obs_, "server.cache.entries",
-           static_cast<std::uint64_t>(stats().entries));
+  metrics->SetGauge("server.cache.entries",
+                    static_cast<std::uint64_t>(stats().entries));
 }
 
 void PlanCache::BeginEpoch() {

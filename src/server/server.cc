@@ -11,6 +11,7 @@
 #include "core/router.h"
 #include "cq/core.h"
 #include "datalog/eval.h"
+#include "obs/metrics.h"
 #include "parser/parser.h"
 #include "server/json.h"
 
@@ -102,27 +103,32 @@ struct Prepared {
   }
 };
 
-/// Renders one response line (schema v1). `elapsed_us` is measured by the
-/// caller so followers report their own latency.
+/// Renders one response line (schema v1). `cache` is the marker to report
+/// (a follower reports "coalesced" over its leader's outcome), and
+/// `elapsed_us` is measured by the caller so followers report their own
+/// latency.
 std::string RenderResponse(const std::string& id_json, const std::string& op,
-                           const Outcome& outcome, std::uint64_t elapsed_us) {
-  std::string out = "{\"schema_version\":1,";
-  out += "\"id\":" + id_json + ",";
-  out += "\"op\":\"" + JsonEscape(op) + "\",";
-  out += "\"status\":\"" + outcome.status + "\",";
-  out += "\"cache\":\"" + outcome.cache + "\",";
-  out += "\"elapsed_us\":" + std::to_string(elapsed_us);
+                           const Outcome& outcome, const std::string& cache,
+                           std::uint64_t elapsed_us) {
+  std::string out = "{\"schema_version\":1,\"id\":";
+  out.append(id_json).append(",\"op\":\"");
+  JsonEscape(op, &out);
+  out.append("\",\"status\":\"").append(outcome.status);
+  out.append("\",\"cache\":\"").append(cache);
+  out.append("\",\"elapsed_us\":").append(std::to_string(elapsed_us));
   if (outcome.status == "ok") {
-    out += ",\"result\":" +
-           (outcome.result_json.empty() ? std::string("{}")
-                                        : outcome.result_json);
+    out.append(",\"result\":")
+        .append(outcome.result_json.empty() ? "{}" : outcome.result_json);
   } else {
-    out += ",\"error\":{\"code\":\"" +
-           JsonEscape(outcome.error_code.empty() ? outcome.status
-                                                 : outcome.error_code) +
-           "\",\"message\":\"" + JsonEscape(outcome.error_message) + "\"}";
+    out.append(",\"error\":{\"code\":\"");
+    JsonEscape(outcome.error_code.empty() ? outcome.status : outcome.error_code,
+               &out);
+    out.append("\",\"message\":\"");
+    JsonEscape(outcome.error_message, &out);
+    out.append("\"}");
   }
-  return out + "}";
+  out += '}';
+  return out;
 }
 
 }  // namespace
@@ -150,10 +156,11 @@ ServerStats Server::stats() const {
 
 namespace {
 
-/// Decodes and input-parses one request line into a Prepared. Never runs
-/// an engine; every early exit fills `outcome` and sets `done`.
+/// Decodes and input-parses one request line into a Prepared; an eval
+/// request's database is parsed straight into the server's value `pool`.
+/// Never runs an engine; every early exit fills `outcome` and sets `done`.
 void PrepareRequest(const std::string& line, const ServerOptions& options,
-                    Prepared* p) {
+                    const std::shared_ptr<Interner>& pool, Prepared* p) {
   p->admitted = Clock::now();
   if (options.default_deadline_ms > 0) {
     p->has_deadline = true;
@@ -248,7 +255,7 @@ void PrepareRequest(const std::string& line, const ServerOptions& options,
     }
     auto program = ParseProgram(*program_text);
     if (!program.ok()) return fail(program.status());
-    auto database = ParseDatabase(*db_text);
+    auto database = ParseDatabase(*db_text, pool);
     if (!database.ok()) return fail(database.status());
     p->program = std::move(*program);
     p->database = std::move(*database);
@@ -344,10 +351,10 @@ Outcome RunContainment(const ServerOptions& options, PlanCache& cache,
 }
 
 /// Evaluation: Π(D) keyed by (program, canonical database) hashes. The
-/// working database is rebuilt against the server's shared value pool so
-/// repeated databases re-use interned values across requests.
-Outcome RunEval(const ServerOptions& options, PlanCache& cache,
-                const std::shared_ptr<Interner>& pool, Prepared& p) {
+/// request's database was parsed into the server's shared value pool, so
+/// it is evaluated as it stands and repeated databases re-use interned
+/// values across requests.
+Outcome RunEval(const ServerOptions& options, PlanCache& cache, Prepared& p) {
   const PlanKey key{p.key1, p.key2};
   bool stable = false;
   std::optional<CachedEval> cached = cache.LookupEval(key, &stable);
@@ -355,24 +362,20 @@ Outcome RunEval(const ServerOptions& options, PlanCache& cache,
   if (!cached.has_value()) {
     if (p.Expired()) return Outcome::Deadline();
     ObsSpan span(options.obs, "server/engine", "server");
-    Database db(pool);
-    for (const std::string& relation : p.database->Relations()) {
-      for (const Tuple& tuple : p.database->Facts(relation)) {
-        db.AddFact(relation, tuple);
-      }
-    }
     EvalOptions eval;
     eval.exec.threads = options.engine_threads;
     eval.obs = options.obs;
-    auto tuples = EvaluateGoal(*p.program, db, eval);
+    auto tuples = EvaluateGoal(*p.program, *p.database, eval);
     if (!tuples.ok()) return Outcome::Error(tuples.status());
     cached.emplace(*tuples);
     cache.InsertEval(key, *cached);
   }
   Outcome out;
   out.cache = cache_marker;
-  out.result_json = "{\"goal\":\"" + JsonEscape(p.program->goal_predicate()) +
-                    "\",\"tuples\":" + cached->tuples_json + "}";
+  out.result_json = "{\"goal\":\"";
+  JsonEscape(p.program->goal_predicate(), &out.result_json);
+  out.result_json.append("\",\"tuples\":").append(cached->tuples_json);
+  out.result_json += '}';
   return out;
 }
 
@@ -410,7 +413,9 @@ Outcome RunAnalyze(const ServerOptions& options, PlanCache& cache,
 std::vector<std::string> Server::HandleChunk(
     const std::vector<std::string>& lines) {
   batches_.fetch_add(1, std::memory_order_relaxed);
-  ObsCount(options_.obs, "server.batches", 1);
+  if (MetricRegistry* metrics = ObsMetrics(options_.obs)) {
+    metrics->Add("server.batches", 1);
+  }
   ObsSpan batch_span(options_.obs, "server/batch", "server");
   batch_span.AddArg("requests", lines.size());
   // New cache epoch: only entries that predate this batch count as "hit"
@@ -424,7 +429,9 @@ std::vector<std::string> Server::HandleChunk(
   exec.threads = options_.threads;
   // Phase 1: decode + input-parse every request (embarrassingly parallel).
   ParallelFor(exec, n,
-              [&](std::size_t i) { PrepareRequest(lines[i], options_, &prepared[i]); });
+              [&](std::size_t i) {
+                PrepareRequest(lines[i], options_, pool_, &prepared[i]);
+              });
 
   // Phase 2: group by canonical work key; the first occurrence leads.
   std::map<std::tuple<std::string, std::uint64_t, std::uint64_t>, std::size_t>
@@ -452,32 +459,31 @@ std::vector<std::string> Server::HandleChunk(
     if (p.op == "containment") {
       p.outcome = RunContainment(options_, cache_, p);
     } else if (p.op == "eval") {
-      p.outcome = RunEval(options_, cache_, pool_, p);
+      p.outcome = RunEval(options_, cache_, p);
     } else {
       p.outcome = RunAnalyze(options_, cache_, p);
     }
     p.done = true;
   });
 
-  // Phase 4: render in request order; followers copy their leader's
-  // outcome with the "coalesced" cache marker.
+  // Phase 4: render in request order; followers render their leader's
+  // outcome with the "coalesced" cache marker. Counter names are built
+  // only when a registry is attached.
+  static const std::string kCoalesced = "coalesced";
+  MetricRegistry* const metrics = ObsMetrics(options_.obs);
   std::vector<std::string> responses;
   responses.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    Prepared& p = prepared[i];
-    Outcome outcome;
-    if (p.done) {
-      outcome = p.outcome;
-    } else {
-      outcome = prepared[leader[i]].outcome;
-      if (outcome.status == "ok") {
-        outcome.cache = "coalesced";
-        coalesced_.fetch_add(1, std::memory_order_relaxed);
-        ObsCount(options_.obs, "server.coalesced", 1);
-      }
+    const Prepared& p = prepared[i];
+    const Outcome& outcome = p.done ? p.outcome : prepared[leader[i]].outcome;
+    const std::string* cache = &outcome.cache;
+    if (!p.done && outcome.status == "ok") {
+      cache = &kCoalesced;
+      coalesced_.fetch_add(1, std::memory_order_relaxed);
+      if (metrics != nullptr) metrics->Add("server.coalesced", 1);
     }
     requests_.fetch_add(1, std::memory_order_relaxed);
-    ObsCount(options_.obs, "server.requests", 1);
+    if (metrics != nullptr) metrics->Add("server.requests", 1);
     if (outcome.status == "ok") {
       ok_.fetch_add(1, std::memory_order_relaxed);
     } else if (outcome.status == "deadline_exceeded") {
@@ -487,11 +493,14 @@ std::vector<std::string> Server::HandleChunk(
     } else {
       errors_.fetch_add(1, std::memory_order_relaxed);
     }
-    ObsCount(options_.obs, "server.responses." + outcome.status, 1);
+    if (metrics != nullptr) {
+      metrics->Add("server.responses." + outcome.status, 1);
+    }
     const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
         Clock::now() - p.admitted);
+    static const std::string kUnknownOp = "unknown";
     responses.push_back(RenderResponse(
-        p.id_json, p.op.empty() ? "unknown" : p.op, outcome,
+        p.id_json, p.op.empty() ? kUnknownOp : p.op, outcome, *cache,
         static_cast<std::uint64_t>(elapsed.count())));
   }
   return responses;

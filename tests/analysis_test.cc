@@ -9,6 +9,7 @@
 
 #include "analysis/analyzer.h"
 #include "analysis/diagnostic.h"
+#include "analysis/report.h"
 #include "core/hardness.h"
 #include "parser/parser.h"
 #include "tests/generators.h"
@@ -492,6 +493,60 @@ TEST(DiagnosticTest, FirstErrorSkipsWarningsAndCarriesCode) {
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("QC002"), std::string::npos);
   EXPECT_TRUE(analysis::FirstError({}).ok());
+}
+
+// The canonical hashes are cache keys: their values are pinned so a change
+// in how they are computed (here: variables numbered by name, not by a
+// digest of the name) cannot silently move every key. The 40-variable
+// query takes the name table past its linear-scan range.
+TEST(CanonicalHashTest, PinnedValues) {
+  std::string wide = "Q(v0, v5) :- ";
+  for (int i = 0; i < 40; ++i) {
+    if (i > 0) wide += ", ";
+    wide += "e(v" + std::to_string(i) + ", v" +
+            std::to_string((i * 7 + 3) % 40) + ")";
+  }
+  wide += ".";
+  const std::vector<std::pair<std::string, std::uint64_t>> queries = {
+      {"Q(x, y) :- e(x, y).", 0xfe7a2f5bd36ca48fULL},
+      {"Q(a, b) :- e(a, b).", 0xfe7a2f5bd36ca48fULL},
+      {"Q(x, y) :- e(x, z), e(z, y).", 0xb7159ffefd1dc8d1ULL},
+      {"Q(x, y) :- e(x, z), f(z, y).\nQ(x, y) :- g(y, x).",
+       0x2f0c37e2127f02b3ULL},
+      {"Q() :- e(x, x).", 0x4ee76fcbd77cefd4ULL},
+      {"Q(x) :- r(x, 'c'), s('c', x, y).", 0x9d0af5ebc269acdaULL},
+      {wide, 0x4250ee8c4a37b9f9ULL},
+  };
+  for (const auto& [text, hash] : queries) {
+    auto ucq = ParseUcq(text);
+    ASSERT_TRUE(ucq.ok()) << text;
+    EXPECT_EQ(analysis::CanonicalQueryHash(*ucq), hash) << text;
+  }
+  const std::vector<std::pair<std::string, std::uint64_t>> programs = {
+      {"t(x, y) :- e(x, y). t(x, y) :- e(x, z), t(z, y). goal t.",
+       0xa917021b3b72ce02ULL},
+      {"t(p, q) :- e(p, q). t(p, q) :- e(p, r), t(r, q). goal t.",
+       0xa917021b3b72ce02ULL},
+      {"buys(x, y) :- likes(x, y). buys(x, y) :- trendy(x), buys(z, y).",
+       0x442a86b47bccdbbdULL},
+      {"p(x) :- e(x, y), q(y). q(y) :- f(y). goal p.", 0x00cb3a6ee4d42b74ULL},
+  };
+  for (const auto& [text, hash] : programs) {
+    auto program = ParseProgram(text);
+    ASSERT_TRUE(program.ok()) << text;
+    EXPECT_EQ(analysis::CanonicalProgramHash(*program), hash) << text;
+  }
+  const std::vector<std::pair<std::string, std::uint64_t>> databases = {
+      {"e(a, b). e(b, c). f(c, a).", 0xb94a686ff5530304ULL},
+      {"f(c, a). e(b, c). e(a, b). e(a, b).", 0xb94a686ff5530304ULL},
+      {"likes('ann', 'beer'). trendy('ann').", 0x5ed130318db19151ULL},
+      {"p(). q(x, y, z).", 0x84fc5452d653abbfULL},
+  };
+  for (const auto& [text, hash] : databases) {
+    auto db = ParseDatabase(text);
+    ASSERT_TRUE(db.ok()) << text;
+    EXPECT_EQ(analysis::CanonicalDatabaseHash(*db), hash) << text;
+  }
 }
 
 }  // namespace
