@@ -4,12 +4,12 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "base/check.h"
+#include "base/hash.h"
 #include "base/thread_pool.h"
 #include "cq/homomorphism.h"
 #include "cq/query.h"
@@ -377,53 +377,118 @@ Result<Database> EvaluateProgram(const DatalogProgram& program,
   return result;
 }
 
+namespace {
+
+// Ranks the goal relation of `all`: one pass collects the distinct values
+// (numbered by first occurrence) in a flat open-addressing table and
+// rewrites every cell as that number, one NamesOf call fetches their names,
+// one sort over the names ranks them, and an LSD counting sort (one stable
+// pass per column, last column first) orders the rows by rank.
+GoalAnswer RankGoal(const Database& all, RelationId goal) {
+  GoalAnswer out;
+  out.pool = all.pool();
+  out.num_rows = all.NumRows(goal);
+  out.arity = all.Arity(goal);
+  const std::size_t n = out.num_rows;
+  const std::size_t arity = out.arity;
+  const std::span<const ValueId> arena = all.Arena(goal).first(n * arity);
+
+  // Distinct values: slot -> value id (kNoValue = empty) and its number.
+  std::vector<ValueId> distinct;
+  std::vector<std::uint32_t> cells(arena.size());
+  std::vector<ValueId> slot_id(16, kNoValue);
+  std::vector<std::uint32_t> slot_num(16);
+  const auto slot_of = [&](ValueId v) {
+    const std::size_t mask = slot_id.size() - 1;
+    std::size_t i = Mix64(v) & mask;
+    while (slot_id[i] != kNoValue && slot_id[i] != v) i = (i + 1) & mask;
+    return i;
+  };
+  for (std::size_t c = 0; c < arena.size(); ++c) {
+    const ValueId v = arena[c];
+    std::size_t i = slot_of(v);
+    if (slot_id[i] == kNoValue) {
+      if (2 * (distinct.size() + 1) > slot_id.size()) {  // load <= 1/2
+        slot_id.assign(slot_id.size() * 2, kNoValue);
+        slot_num.resize(slot_id.size());
+        for (std::uint32_t num = 0; num < distinct.size(); ++num) {
+          const std::size_t j = slot_of(distinct[num]);
+          slot_id[j] = distinct[num];
+          slot_num[j] = num;
+        }
+        i = slot_of(v);
+      }
+      slot_id[i] = v;
+      slot_num[i] = static_cast<std::uint32_t>(distinct.size());
+      distinct.push_back(v);
+    }
+    cells[c] = slot_num[i];
+  }
+
+  // Rank by name. Distinct ids of one pool have distinct names, so the
+  // ranks are a bijection onto 0..k-1.
+  const std::size_t k = distinct.size();
+  std::vector<const std::string*> names(k);
+  out.pool->NamesOf(distinct, names.data());
+  std::vector<std::uint32_t> by_name(k);
+  for (std::uint32_t num = 0; num < k; ++num) by_name[num] = num;
+  std::sort(by_name.begin(), by_name.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return *names[a] < *names[b];
+            });
+  std::vector<std::uint32_t> rank(k);
+  out.names.resize(k);
+  for (std::uint32_t r = 0; r < k; ++r) {
+    rank[by_name[r]] = r;
+    out.names[r] = names[by_name[r]];
+  }
+  for (std::uint32_t& cell : cells) cell = rank[cell];
+
+  // LSD counting sort of the row indices. Rows are distinct, so the
+  // stable passes leave them in strict lexicographic rank order.
+  std::vector<std::uint32_t> order(n);
+  std::vector<std::uint32_t> next(n);
+  std::vector<std::uint32_t> count(k + 1);
+  for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
+  for (std::size_t j = arity; j-- > 0;) {
+    std::fill(count.begin(), count.end(), 0);
+    for (std::size_t i = 0; i < n; ++i) ++count[cells[i * arity + j] + 1];
+    for (std::size_t r = 1; r <= k; ++r) count[r] += count[r - 1];
+    for (const std::uint32_t row : order) {
+      next[count[cells[row * arity + j]]++] = row;
+    }
+    order.swap(next);
+  }
+  out.rows.resize(n * arity);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::copy_n(cells.begin() + order[i] * arity, arity,
+                out.rows.begin() + i * arity);
+  }
+  return out;
+}
+
+}  // namespace
+
+Result<GoalAnswer> EvaluateGoalAnswer(const DatalogProgram& program,
+                                      const Database& edb,
+                                      const EvalOptions& options,
+                                      DatalogEvalStats* stats) {
+  QCONT_ASSIGN_OR_RETURN(Database all,
+                         EvaluateProgram(program, edb, options, stats));
+  return RankGoal(all, all.RelationIdOf(program.goal_predicate()));
+}
+
 Result<std::vector<Tuple>> EvaluateGoal(const DatalogProgram& program,
                                         const Database& edb,
                                         const EvalOptions& options,
                                         DatalogEvalStats* stats) {
-  QCONT_ASSIGN_OR_RETURN(Database all,
-                         EvaluateProgram(program, edb, options, stats));
-  const RelationId goal = all.RelationIdOf(program.goal_predicate());
-  const std::size_t n = all.NumRows(goal);
-  const std::size_t arity = all.Arity(goal);
-  // Sorting string tuples costs a string compare per comparison; instead
-  // rank the distinct values by name once and sort the interned rows under
-  // that rank — element-wise it is the same order, so the output is
-  // byte-identical to std::sort over the tuples. Strings are built only
-  // for the output, from the ranked names.
-  std::unordered_map<ValueId, std::uint32_t> rank;
-  for (std::size_t r = 0; r < n; ++r) {
-    for (const ValueId v : all.Row(goal, r)) rank.emplace(v, 0);
-  }
-  std::vector<std::pair<std::string_view, ValueId>> named;
-  named.reserve(rank.size());
-  for (const auto& kv : rank) {
-    named.emplace_back(all.pool()->NameOf(kv.first), kv.first);
-  }
-  std::sort(named.begin(), named.end());
-  for (std::size_t i = 0; i < named.size(); ++i) {
-    rank[named[i].second] = static_cast<std::uint32_t>(i);
-  }
-  std::vector<std::uint32_t> keys(n * arity);
-  for (std::size_t r = 0; r < n; ++r) {
-    const std::span<const ValueId> row = all.Row(goal, r);
-    for (std::size_t j = 0; j < arity; ++j) keys[r * arity + j] = rank[row[j]];
-  }
-  std::vector<std::uint32_t> order(n);
-  for (std::size_t r = 0; r < n; ++r) order[r] = static_cast<std::uint32_t>(r);
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              const std::uint32_t* ka = keys.data() + a * arity;
-              const std::uint32_t* kb = keys.data() + b * arity;
-              return std::lexicographical_compare(ka, ka + arity, kb,
-                                                  kb + arity);
-            });
-  std::vector<Tuple> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t* key = keys.data() + order[i] * arity;
-    out[i].reserve(arity);
-    for (std::size_t j = 0; j < arity; ++j) {
-      out[i].emplace_back(named[key[j]].first);
+  QCONT_ASSIGN_OR_RETURN(GoalAnswer answer,
+                         EvaluateGoalAnswer(program, edb, options, stats));
+  std::vector<Tuple> out(answer.num_rows);
+  for (std::size_t i = 0; i < answer.num_rows; ++i) {
+    out[i].reserve(answer.arity);
+    for (std::size_t j = 0; j < answer.arity; ++j) {
+      out[i].push_back(*answer.names[answer.rows[i * answer.arity + j]]);
     }
   }
   return out;

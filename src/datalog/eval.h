@@ -2,8 +2,11 @@
 #define QCONT_DATALOG_EVAL_H_
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "base/interner.h"
 #include "base/status.h"
 #include "cq/database.h"
 #include "cq/homomorphism.h"
@@ -90,7 +93,36 @@ Result<Database> EvaluateProgram(const DatalogProgram& program,
                                  const EvalOptions& options = {},
                                  DatalogEvalStats* stats = nullptr);
 
-/// Π(D): the goal-predicate tuples derived over `edb`, sorted.
+/// Π(D) in id space: the goal relation's rows as ranks of their values'
+/// names, already in answer order, with no string built.
+///
+/// Answer order (the one contract every goal answer follows): rows sorted
+/// lexicographically, element by element, where two values compare by the
+/// byte order of their names (`std::string`'s `<`, unsigned bytes, a
+/// prefix before its extensions). That is exactly `std::sort` over the
+/// rows as string tuples. `rank` numbers the distinct values of the answer
+/// in that name order, so comparing ranks compares names.
+struct GoalAnswer {
+  /// Owns the names `names` points into.
+  std::shared_ptr<Interner> pool;
+  /// `*names[rank]` is the name of the value with that rank, ascending.
+  std::vector<const std::string*> names;
+  /// `num_rows * arity` ranks, row-major, rows in answer order.
+  std::vector<std::uint32_t> rows;
+  std::size_t arity = 0;
+  /// Counted apart from `rows`: an arity-0 goal has one row or none.
+  std::size_t num_rows = 0;
+};
+
+/// Evaluates `program` over `edb` and returns its goal relation as a
+/// GoalAnswer (see there for the order).
+Result<GoalAnswer> EvaluateGoalAnswer(const DatalogProgram& program,
+                                      const Database& edb,
+                                      const EvalOptions& options = {},
+                                      DatalogEvalStats* stats = nullptr);
+
+/// Π(D): the goal-predicate tuples derived over `edb`, in answer order
+/// (GoalAnswer), as strings.
 Result<std::vector<Tuple>> EvaluateGoal(const DatalogProgram& program,
                                         const Database& edb,
                                         const EvalOptions& options = {},

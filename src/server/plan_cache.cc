@@ -20,6 +20,41 @@ CachedEval::CachedEval(const std::vector<Tuple>& tuples) : tuples_json("[") {
   tuples_json += "]";
 }
 
+// Each distinct name is escaped and quoted once into `quoted`; every cell
+// then appends its name's piece, into an output reserved to its final size.
+CachedEval::CachedEval(const GoalAnswer& answer) {
+  const std::size_t k = answer.names.size();
+  std::string quoted;
+  std::vector<std::size_t> start(k + 1);
+  for (std::size_t r = 0; r < k; ++r) {
+    start[r] = quoted.size();
+    quoted += '"';
+    JsonEscape(*answer.names[r], &quoted);
+    quoted += '"';
+  }
+  start[k] = quoted.size();
+  const std::size_t n = answer.num_rows;
+  std::size_t size = 2 + 2 * n;  // brackets
+  if (n > 0) size += n - 1;      // row separators
+  if (answer.arity > 0) size += n * (answer.arity - 1);  // cell separators
+  for (const std::uint32_t rank : answer.rows) {
+    size += start[rank + 1] - start[rank];
+  }
+  tuples_json.reserve(size);
+  tuples_json += '[';
+  const std::uint32_t* cell = answer.rows.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0) tuples_json += ',';
+    tuples_json += '[';
+    for (std::size_t j = 0; j < answer.arity; ++j, ++cell) {
+      if (j > 0) tuples_json += ',';
+      tuples_json.append(quoted, start[*cell], start[*cell + 1] - start[*cell]);
+    }
+    tuples_json += ']';
+  }
+  tuples_json += ']';
+}
+
 PlanCache::PlanCache(PlanCacheConfig config)
     : obs_(config.obs),
       verdicts_(config.verdict_capacity),

@@ -14,6 +14,7 @@
 #include "core/router.h"
 #include "cq/database.h"
 #include "cq/query.h"
+#include "datalog/eval.h"
 #include "obs/obs.h"
 
 namespace qcont {
@@ -40,9 +41,12 @@ struct CachedVerdict {
 
 /// A memoized evaluation result: the goal tuples of Π(D), rendered once
 /// as the response's `tuples` JSON array, keyed by (program_hash,
-/// canonical database hash). Every hit reuses the bytes.
+/// canonical database hash). Every hit reuses the bytes. Both constructors
+/// render the same bytes for the same answer; the server renders from the
+/// ranked answer, escaping each distinct name once.
 struct CachedEval {
   explicit CachedEval(const std::vector<Tuple>& tuples);
+  explicit CachedEval(const GoalAnswer& answer);
   std::string tuples_json;
 };
 

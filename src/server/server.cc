@@ -350,32 +350,39 @@ Outcome RunContainment(const ServerOptions& options, PlanCache& cache,
   return out;
 }
 
+/// The eval response body around a rendered `tuples` array.
+Outcome EvalOutcome(const Prepared& p, const std::string& cache_marker,
+                    const CachedEval& eval) {
+  Outcome out;
+  out.cache = cache_marker;
+  out.result_json = "{\"goal\":\"";
+  JsonEscape(p.program->goal_predicate(), &out.result_json);
+  out.result_json.append("\",\"tuples\":").append(eval.tuples_json);
+  out.result_json += '}';
+  return out;
+}
+
 /// Evaluation: Π(D) keyed by (program, canonical database) hashes. The
 /// request's database was parsed into the server's shared value pool, so
 /// it is evaluated as it stands and repeated databases re-use interned
-/// values across requests.
+/// values across requests. A miss renders the ranked answer (no Tuple is
+/// built), answers from the fresh entry and then moves it into the cache.
 Outcome RunEval(const ServerOptions& options, PlanCache& cache, Prepared& p) {
   const PlanKey key{p.key1, p.key2};
   bool stable = false;
   std::optional<CachedEval> cached = cache.LookupEval(key, &stable);
   const std::string cache_marker = stable ? "hit" : "miss";
-  if (!cached.has_value()) {
-    if (p.Expired()) return Outcome::Deadline();
-    ObsSpan span(options.obs, "server/engine", "server");
-    EvalOptions eval;
-    eval.exec.threads = options.engine_threads;
-    eval.obs = options.obs;
-    auto tuples = EvaluateGoal(*p.program, *p.database, eval);
-    if (!tuples.ok()) return Outcome::Error(tuples.status());
-    cached.emplace(*tuples);
-    cache.InsertEval(key, *cached);
-  }
-  Outcome out;
-  out.cache = cache_marker;
-  out.result_json = "{\"goal\":\"";
-  JsonEscape(p.program->goal_predicate(), &out.result_json);
-  out.result_json.append("\",\"tuples\":").append(cached->tuples_json);
-  out.result_json += '}';
+  if (cached.has_value()) return EvalOutcome(p, cache_marker, *cached);
+  if (p.Expired()) return Outcome::Deadline();
+  ObsSpan span(options.obs, "server/engine", "server");
+  EvalOptions eval;
+  eval.exec.threads = options.engine_threads;
+  eval.obs = options.obs;
+  auto answer = EvaluateGoalAnswer(*p.program, *p.database, eval);
+  if (!answer.ok()) return Outcome::Error(answer.status());
+  CachedEval fresh(*answer);
+  Outcome out = EvalOutcome(p, cache_marker, fresh);
+  cache.InsertEval(key, std::move(fresh));
   return out;
 }
 

@@ -4,7 +4,10 @@
 // counts, within-batch coalescing, deadline and malformed-request error
 // paths, and cache-marker semantics.
 
+#include <algorithm>
 #include <limits>
+#include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -14,6 +17,7 @@
 
 #include "analysis/report.h"
 #include "cq/core.h"
+#include "datalog/eval.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "parser/parser.h"
@@ -149,6 +153,86 @@ TEST(PlanCacheTest, StableFlagsEntriesFromEarlierEpochsOnly) {
   stable = false;
   EXPECT_TRUE(cache.LookupVerdict({1, 1}, &stable).has_value());
   EXPECT_TRUE(stable);
+}
+
+// ---------------------------------------------------------------------------
+// Eval answers: ranked order and rendering.
+// ---------------------------------------------------------------------------
+
+// The ranked goal answer against the plain definition of answer order:
+// std::sort over the goal relation's string tuples. Seeded programs of goal
+// arity 0–3 (plus one whose goal is never derived) run over random
+// databases whose names hold quotes, backslashes, control and NUL bytes,
+// bytes >= 0x80 and prefix chains, so byte order, name order and id order
+// all disagree. Half the databases share one pool across iterations, as
+// the server's do. EvaluateGoal must equal the sorted tuples, and the
+// ranked renderer must emit the same bytes as the tuple renderer.
+TEST(EvalAnswerTest, RankedAnswerMatchesSortedStringTuples) {
+  const std::vector<std::string> programs = {
+      "g() :- e(x,y), f(y). goal g.",
+      "g(x) :- e(x,y). g(y) :- f(y). goal g.",
+      "t(x,y) :- e(x,y). t(x,y) :- e(x,z), t(z,y). goal t.",
+      "g(y,x) :- e(x,y), f(x). goal g.",
+      "g(x,y,z) :- e(x,y), e(y,z). goal g.",
+      "g(x,z,y) :- t(x,y), f(z). t(x,y) :- e(x,y). "
+      "t(x,y) :- e(x,z), t(z,y). goal g.",
+      "g(x) :- e(x,y), h(y). goal g.",  // h has no facts: g stays empty
+  };
+  std::vector<std::string> names = {
+      "\"", "\\", "\\\"", "a\"b", std::string(1, '\0'), "\x01", "\t", "\n",
+      "\x1f", "\x7f", "\xc3\xa9", "\xe6\x97\xa5", "\xff", "z", "Z", "",
+      " ", "n", "n1", "n10", "n1 ", "n2", "n1\x01", "n10\xc3\xa9"};
+  std::mt19937 rng(20140622);
+  auto shared_pool = std::make_shared<Interner>();
+  std::vector<std::string> shuffled = names;
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  for (const std::string& name : shuffled) shared_pool->Intern(name);
+
+  std::vector<std::size_t> rows_seen(programs.size());
+  std::size_t empty_answers = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    SCOPED_TRACE("iteration " + std::to_string(iter));
+    auto program = ParseProgram(programs[iter % programs.size()]);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    Database db = iter % 2 == 0 ? Database(shared_pool) : Database();
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    const std::size_t domain = rng() % 9;  // 0 gives an empty database
+    if (domain > 0) {
+      std::uniform_int_distribution<std::size_t> pick(0, domain - 1);
+      for (std::size_t i = rng() % (2 * domain + 1); i > 0; --i) {
+        db.AddFact("e", {shuffled[pick(rng)], shuffled[pick(rng)]});
+      }
+      for (std::size_t i = rng() % (domain + 1); i > 0; --i) {
+        db.AddFact("f", {shuffled[pick(rng)]});
+      }
+    }
+
+    auto derived = EvaluateProgram(*program, db);
+    ASSERT_TRUE(derived.ok());
+    std::vector<Tuple> want = derived->Facts(program->goal_predicate());
+    std::sort(want.begin(), want.end());
+    rows_seen[iter % programs.size()] += want.size();
+    if (want.empty()) ++empty_answers;
+
+    auto got = EvaluateGoal(*program, db);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, want);
+
+    auto answer = EvaluateGoalAnswer(*program, db);
+    ASSERT_TRUE(answer.ok());
+    ASSERT_EQ(answer->num_rows, want.size());
+    ASSERT_EQ(answer->rows.size(), answer->num_rows * answer->arity);
+    for (std::size_t r = 1; r < answer->names.size(); ++r) {
+      EXPECT_LT(*answer->names[r - 1], *answer->names[r]);
+    }
+    EXPECT_EQ(CachedEval(*answer).tuples_json, CachedEval(want).tuples_json);
+  }
+  // The seed reaches answers of every arity, and empty ones.
+  for (std::size_t i = 0; i + 1 < programs.size(); ++i) {
+    EXPECT_GT(rows_seen[i], 0u) << programs[i];
+  }
+  EXPECT_EQ(rows_seen.back(), 0u);
+  EXPECT_GT(empty_answers, programs.size());
 }
 
 // ---------------------------------------------------------------------------
